@@ -56,8 +56,6 @@ struct CliOptions {
   uint32_t chunk = 0;
   int jobs = 0;  // 0 = ICE_JOBS env or hardware concurrency.
   std::string out = "cli_sweep";
-  bool share_prefix = true;
-  bool fleet_templates = true;
   std::string snapshot_path;  // Save a post-caching snapshot here.
   std::string restore_path;   // Start from a saved snapshot instead of caching.
   bool trace = false;
@@ -100,9 +98,6 @@ void PrintHelp() {
       "                           (--device/--scheme/--scenario/--bg/--seed take\n"
       "                           comma-separated lists) on a worker pool\n"
       "  --jobs=N                 sweep workers (default: ICE_JOBS or all cores)\n"
-      "  --share-prefix=on|off    fork cells that differ only in --bg from one\n"
-      "                           warmed snapshot instead of re-running the shared\n"
-      "                           caching prefix (default on; results identical)\n"
       "  --out=NAME               JSON report name: results/NAME.json\n"
       "\nfleet mode:\n"
       "  --fleet                  simulate a device population: every device is a\n"
@@ -116,10 +111,6 @@ void PrintHelp() {
       "  --chunk=N                devices per work chunk (default: auto from N;\n"
       "                           part of the determinism contract — output is\n"
       "                           byte-identical for any --jobs at fixed chunk)\n"
-      "  --fleet-templates=on|off warm-boot templates: fork each device from a\n"
-      "                           per-group post-boot snapshot with per-worker\n"
-      "                           sim recycling instead of cold-constructing it\n"
-      "                           (default on; results byte-identical)\n"
       "  --jobs/--scheme/--seed/--out as in sweep mode; report:\n"
       "                           results/FLEET_NAME.json\n");
 }
@@ -240,9 +231,8 @@ int RunSweep(const CliOptions& opts) {
 
   SweepRunner runner(opts.jobs);
   std::vector<SweepCell> cells = axes.Cells();
-  std::printf("icesim sweep: %zu cells on %d workers%s\n", cells.size(), runner.jobs(),
-              opts.share_prefix ? ", shared caching prefixes" : "");
-  std::vector<CellOutcome> outcomes = runner.Run(cells, opts.share_prefix);
+  std::printf("icesim sweep: %zu cells on %d workers\n", cells.size(), runner.jobs());
+  std::vector<CellOutcome> outcomes = runner.Run(cells);
 
   Table table({"device", "scheme", "scenario", "bg", "seed", "fps", "RIA", "refaults",
                "reclaims", "CPU"});
@@ -281,7 +271,6 @@ int RunFleet(const CliOptions& opts) {
   config.chunk = opts.chunk;
   config.seed = std::strtoull(opts.seed.c_str(), nullptr, 10);
   config.sessions = opts.sessions;
-  config.use_templates = opts.fleet_templates;
   CheckAgingName(opts.aging);
   config.aging = opts.aging;
   CheckSwapName(opts.swap);
@@ -309,10 +298,9 @@ int RunFleet(const CliOptions& opts) {
   }
 
   FleetRunner runner(config);
-  std::printf("icesim fleet: %llu devices, %zu groups, chunk=%u, %d workers%s\n",
+  std::printf("icesim fleet: %llu devices, %zu groups, chunk=%u, %d workers\n",
               static_cast<unsigned long long>(runner.config().devices),
-              runner.num_groups(), runner.chunk_size(), runner.config().jobs,
-              runner.config().use_templates ? ", warm-boot templates" : "");
+              runner.num_groups(), runner.chunk_size(), runner.config().jobs);
   FleetResult result = runner.Run();
 
   Table table({"tier", "scheme", "devices", "fps p50", "RIA p50", "lat p99 ms",
@@ -389,26 +377,6 @@ int main(int argc, char** argv) {
       opts.seed = value;
     } else if (ParseArg(argv[i], "--jobs", &value)) {
       opts.jobs = std::atoi(value.c_str());
-    } else if (ParseArg(argv[i], "--share-prefix", &value)) {
-      if (value == "on") {
-        opts.share_prefix = true;
-      } else if (value == "off") {
-        opts.share_prefix = false;
-      } else {
-        std::fprintf(stderr, "--share-prefix takes 'on' or 'off', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-    } else if (ParseArg(argv[i], "--fleet-templates", &value)) {
-      if (value == "on") {
-        opts.fleet_templates = true;
-      } else if (value == "off") {
-        opts.fleet_templates = false;
-      } else {
-        std::fprintf(stderr, "--fleet-templates takes 'on' or 'off', got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
     } else if (ParseArg(argv[i], "--snapshot", &value)) {
       opts.snapshot_path = value;
     } else if (ParseArg(argv[i], "--restore", &value)) {
@@ -479,8 +447,7 @@ int main(int argc, char** argv) {
     Uid fg = exp->UidOf(ScenarioPackage(kind));
     if (bg > 0) {
       // The decomposed caching loop so --snapshot can save at the quiescent
-      // boundary after the last app, before FinishCaching — the same spot the
-      // prefix-sharing sweep forks from.
+      // boundary after the last app, before FinishCaching.
       std::vector<Uid> pool = exp->PlanBackgroundPool({fg});
       if (static_cast<size_t>(bg) > pool.size()) {
         std::fprintf(stderr, "--bg=%d exceeds the catalog's %zu candidates\n", bg,

@@ -113,25 +113,12 @@ void BinaryWriter::EndSection() {
 }
 
 std::vector<uint8_t> BinaryWriter::Finish() {
-  FinishInPlace();
-  return std::move(buf_);
-}
-
-const std::vector<uint8_t>& BinaryWriter::FinishInPlace() {
   ICE_CHECK(open_.empty()) << "Finish with an open section";
   ICE_CHECK(!finished_);
   finished_ = true;
   U32(0);  // End marker.
   U64(SnapshotChecksum64(buf_.data(), buf_.size()));
-  return buf_;
-}
-
-void BinaryWriter::Clear() {
-  buf_.clear();  // Keeps capacity.
-  open_.clear();
-  finished_ = false;
-  buf_.insert(buf_.end(), kSnapshotMagic, kSnapshotMagic + sizeof(kSnapshotMagic));
-  U32(kSnapshotFormatVersion);
+  return std::move(buf_);
 }
 
 BinaryReader::BinaryReader(const uint8_t* data, size_t size, bool verify_checksum)

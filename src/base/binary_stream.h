@@ -52,29 +52,8 @@ class BinaryWriter {
   void Reserve(size_t total) { buf_.reserve(buf_.size() + total); }
 
   // Writes the end marker and the trailing checksum, then returns the
-  // completed buffer. The writer is spent afterwards (until Clear()).
+  // completed buffer. The writer is spent afterwards.
   std::vector<uint8_t> Finish();
-
-  // Rewinds to a fresh stream (magic + version re-written) while keeping the
-  // buffer's capacity, so a worker that snapshots repeatedly pays the
-  // multi-megabyte growth sequence once instead of per save. Pair with
-  // FinishInPlace(), which — unlike Finish() — does not move the buffer (and
-  // its capacity) out of the writer.
-  void Clear();
-
-  size_t size() const { return buf_.size(); }
-  size_t capacity() const { return buf_.capacity(); }
-
-  // Read-only view of the raw stream built so far (without end marker or
-  // checksum until Finish runs).
-  const std::vector<uint8_t>& buffer() const { return buf_; }
-
-  // Like Finish(), but completes the stream in place (end marker + checksum)
-  // and leaves the bytes in the writer's own buffer, returning a view. The
-  // caller copies or reads what it needs, then Clear() re-arms the writer
-  // with its capacity intact — the reuse path Finish()'s move-out can't
-  // offer.
-  const std::vector<uint8_t>& FinishInPlace();
 
  private:
   std::vector<uint8_t> buf_;
@@ -88,8 +67,7 @@ class BinaryReader {
   // std::runtime_error on any mismatch or short buffer. The buffer must
   // outlive the reader. `verify_checksum = false` skips the full-stream
   // checksum scan (magic/version/bounds checks remain) — for buffers that
-  // never left this process, e.g. a sweep cell forking from a donor
-  // snapshot still in memory, where the scan costs a pass over tens of
+  // never left this process, where the scan costs a pass over tens of
   // megabytes and can't catch anything.
   BinaryReader(const uint8_t* data, size_t size, bool verify_checksum = true);
   explicit BinaryReader(const std::vector<uint8_t>& buf, bool verify_checksum = true)

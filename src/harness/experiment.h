@@ -94,7 +94,7 @@ struct ScenarioResult {
 
 // Deterministic digest of every ExperimentConfig field that shapes
 // simulation state. Equal digests on raw configs imply the two runs evolve
-// identically; the sweep runner uses this to group prefix-sharable cells.
+// identically; snapshots store it to reject a restore under another config.
 std::string ConfigFingerprint(const ExperimentConfig& config);
 
 class Experiment {
@@ -127,8 +127,8 @@ class Experiment {
   // Launches `n` catalog apps (chosen pseudo-randomly, excluding `exclude`)
   // and sends each to the background after `settle` of foreground time.
   // Equivalent to PlanBackgroundPool + n times CacheOneBackgroundApp +
-  // FinishCaching — the decomposed form the prefix-sharing sweep uses to
-  // snapshot between apps.
+  // FinishCaching — the decomposed form `icesim_cli --snapshot` uses to save
+  // at the last caching boundary.
   std::vector<Uid> CacheBackgroundApps(int n, const std::vector<Uid>& exclude = {},
                                        SimDuration settle = Ms(2500));
 
@@ -162,8 +162,9 @@ class Experiment {
   bool QuiescentNow() const;
 
   // Runs single ticks (up to `max_ticks`) until QuiescentNow(); returns
-  // whether quiescence was reached. Runs in *every* caching path, shared or
-  // not, so cold and forked runs advance the clock identically. The default
+  // whether quiescence was reached. Runs in *every* caching path, snapshotted
+  // or not, so saved, restored and uninterrupted runs advance the clock
+  // identically. The default
   // bound (2 simulated seconds) rides out a full-pressure device: with every
   // background slot filled, joint idle windows across all tasks are rare and
   // a few hundred ticks of search is routinely needed.
@@ -177,18 +178,15 @@ class Experiment {
 
   // Serializes the full state (aborts if !QuiescentNow()).
   std::vector<uint8_t> SaveSnapshot() const;
-  // Same, into a caller-owned writer: repeated saves in one worker reuse the
-  // writer's buffer (Clear() keeps capacity) instead of growing a fresh
-  // vector to tens of megabytes each time. The caller calls Finish()/
-  // FinishInPlace() when done.
+  // Same, into a caller-owned writer; the caller calls Finish() when done.
   void SaveSnapshotInto(BinaryWriter& w) const;
   void SaveSnapshotToFile(const std::string& path) const;
 
   // Builds an Experiment from `config` and restores `snapshot` into it.
   // Throws std::runtime_error on a corrupt/truncated/mismatched stream.
   // `verify_checksum = false` skips the whole-stream checksum scan; only for
-  // snapshots that never left this process (the sweep forking from an
-  // in-memory donor snapshot) — anything read from disk should verify.
+  // snapshots that never left this process — anything read from disk should
+  // verify.
   static std::unique_ptr<Experiment> RestoreSnapshot(
       const ExperimentConfig& config, const std::vector<uint8_t>& snapshot,
       bool verify_checksum = true);
@@ -196,6 +194,10 @@ class Experiment {
       const ExperimentConfig& config, const std::string& path);
 
   // ---- Warm-boot templates (instance recycling) -----------------------
+  //
+  // The fleet runner no longer uses this: every fleet device is constructed
+  // and booted cold (FleetRunner::RunDevice). It remains for the bench/e2e
+  // fleet replay and its tests.
   //
   // RestoreTemplate rewinds this *live* Experiment back to the snapshot
   // instead of constructing a fresh one: every running app is killed with

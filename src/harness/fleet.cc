@@ -9,47 +9,12 @@
 #include <thread>
 #include <utility>
 
-#include "src/base/binary_stream.h"
 #include "src/base/log.h"
 #include "src/harness/experiment.h"
 #include "src/harness/sweep.h"
 #include "src/workload/usage_trace.h"
 
 namespace ice {
-
-namespace {
-// The per-group install list for the trace runner: identical for every
-// device of a group (catalog and uid assignment are pure functions of the
-// group config), so it is built once per (worker, group) and shared.
-std::vector<UsageTraceRunner::InstalledApp> InstalledAppsOf(Experiment& exp) {
-  std::vector<UsageTraceRunner::InstalledApp> apps;
-  apps.reserve(exp.catalog().size());
-  std::vector<Uid> uids = exp.CatalogUids();
-  for (size_t i = 0; i < exp.catalog().size(); ++i) {
-    apps.push_back({uids[i], exp.catalog()[i].category});
-  }
-  return apps;
-}
-}  // namespace
-
-// Per-worker warm-boot state. Workers never share: each thread owns one.
-struct FleetRunner::WorkerContext {
-  struct GroupContext {
-    bool initialized = false;
-    // Donor failed to settle — run this group's devices cold. Settling is a
-    // pure function of the group config (boot consumes no device-seed
-    // draws), so every worker reaches the same verdict and templated output
-    // stays byte-identical to cold.
-    bool cold_fallback = false;
-    std::vector<uint8_t> template_bytes;
-    std::unique_ptr<Experiment> donor;
-    std::vector<UsageTraceRunner::InstalledApp> apps;
-  };
-  std::vector<GroupContext> groups;
-  // Reused across every template save this worker performs: Clear() keeps
-  // the buffer, so only the first save grows it.
-  BinaryWriter writer;
-};
 
 void FleetGroupStats::MergeFrom(const FleetGroupStats& other) {
   devices += other.devices;
@@ -133,61 +98,18 @@ ExperimentConfig FleetRunner::GroupConfig(size_t group, uint64_t seed) const {
 void FleetRunner::RunDevice(uint64_t device_index, FleetGroupStats& group) const {
   Experiment exp(GroupConfig(GroupOf(device_index),
                              DeviceSeed(config_.seed, device_index)));
-  // Settle to the same quiescent boundary the warm-boot template is taken
-  // at, so templated and cold devices start the trace at identical clocks.
-  // Settling is seed-independent; if it fails here it fails on the donor
-  // too, and both paths just start wherever the bounded search stopped.
+  // The trace starts at the post-boot quiescent boundary. Boot draws nothing
+  // from the device-seed stream, so this boundary — and therefore where each
+  // device's clock starts — is a pure function of the group config. If the
+  // bounded search fails, the trace starts wherever it stopped.
   exp.SettleToQuiescence();
-  std::vector<UsageTraceRunner::InstalledApp> apps = InstalledAppsOf(exp);
-  RunTrace(exp, apps, group);
-}
+  std::vector<UsageTraceRunner::InstalledApp> apps;
+  apps.reserve(exp.catalog().size());
+  const std::vector<Uid> uids = exp.CatalogUids();
+  for (size_t i = 0; i < exp.catalog().size(); ++i) {
+    apps.push_back({uids[i], exp.catalog()[i].category});
+  }
 
-void FleetRunner::RunDeviceWith(WorkerContext& wc, uint64_t device_index,
-                                FleetGroupStats& group) const {
-  if (!config_.use_templates) {
-    RunDevice(device_index, group);
-    return;
-  }
-  WorkerContext::GroupContext& gc = wc.groups[GroupOf(device_index)];
-  if (!gc.initialized) {
-    gc.initialized = true;
-    // The donor seed is arbitrary — boot draws nothing from the device-seed
-    // stream and the template fingerprint is compared seed-agnostically —
-    // but the fleet seed keeps it deterministic and clearly not any
-    // device's.
-    auto donor = std::make_unique<Experiment>(
-        GroupConfig(GroupOf(device_index), config_.seed));
-    if (donor->SettleToQuiescence()) {
-      wc.writer.Clear();
-      donor->SaveSnapshotInto(wc.writer);
-      gc.template_bytes = wc.writer.FinishInPlace();
-      gc.apps = InstalledAppsOf(*donor);
-      gc.donor = std::move(donor);
-    } else {
-      gc.cold_fallback = true;
-    }
-  }
-  if (gc.cold_fallback) {
-    RunDevice(device_index, group);
-    return;
-  }
-  try {
-    gc.donor->RestoreTemplate(gc.template_bytes,
-                              DeviceSeed(config_.seed, device_index));
-    RunTrace(*gc.donor, gc.apps, group);
-  } catch (...) {
-    // A device that threw leaves the donor in an unknown mid-run state;
-    // discard it so the group's next device rebuilds from a clean boot.
-    gc.donor.reset();
-    gc.template_bytes.clear();
-    gc.initialized = false;
-    throw;
-  }
-}
-
-void FleetRunner::RunTrace(Experiment& exp,
-                           const std::vector<UsageTraceRunner::InstalledApp>& apps,
-                           FleetGroupStats& group) const {
   UsageTraceRunner::Config tc;
   tc.days = 1;
   tc.sessions_per_day = config_.sessions;
@@ -221,14 +143,13 @@ void FleetRunner::RunTrace(Experiment& exp,
 }
 
 void FleetRunner::RunChunk(uint64_t chunk_index,
-                           std::vector<FleetGroupStats>& partial,
-                           WorkerContext& wc) const {
+                           std::vector<FleetGroupStats>& partial) const {
   const uint64_t begin = chunk_index * chunk_;
   const uint64_t end = std::min(begin + chunk_, config_.devices);
   for (uint64_t i = begin; i < end; ++i) {
     FleetGroupStats& g = partial[GroupOf(i)];
     try {
-      RunDeviceWith(wc, i, g);
+      RunDevice(i, g);
     } catch (const std::exception& e) {
       ++g.failures;
       if (i < g.first_error_device) {
@@ -297,15 +218,10 @@ FleetResult FleetRunner::Run() const {
   uint64_t next_fold = 0;
 
   auto worker_fn = [&, this](size_t self) {
-    // Per-worker warm-boot donors live across chunks: with stratified
-    // groups every chunk touches every group, so each worker boots each
-    // group at most once for the whole run.
-    WorkerContext wc;
-    wc.groups.resize(num_groups());
     uint64_t chunk = 0;
     while (pop(self, &chunk)) {
       std::vector<FleetGroupStats> partial = MakeAccumulators();
-      RunChunk(chunk, partial, wc);
+      RunChunk(chunk, partial);
       std::lock_guard<std::mutex> lock(fold_mu);
       pending.emplace(chunk, std::move(partial));
       while (!pending.empty() && pending.begin()->first == next_fold) {

@@ -30,11 +30,9 @@
 #include "src/base/merge_histogram.h"
 #include "src/base/units.h"
 #include "src/swap/swap_policy.h"
-#include "src/workload/usage_trace.h"
 
 namespace ice {
 
-class Experiment;
 struct ExperimentConfig;
 
 struct FleetConfig {
@@ -55,12 +53,7 @@ struct FleetConfig {
   int sessions = 3;
   SimDuration session_mean = Sec(4);
   double session_sigma = 0.4;
-  // Warm-boot templates: each worker builds one donor Experiment per fleet
-  // group, snapshots it at the post-boot quiescent boundary, and runs every
-  // device of that group by recycling the donor in place (restore template,
-  // reseed the trace RNG from the device seed). Boot consumes zero
-  // device-seed draws, so the output is byte-identical to cold per-device
-  // construction — `off` is the escape hatch CI diffs against.
+  // Selects nothing; it remains only because bench/e2e sets it.
   bool use_templates = true;
 };
 
@@ -127,31 +120,16 @@ class FleetRunner {
   // streams from one fleet seed.
   static uint64_t DeviceSeed(uint64_t fleet_seed, uint64_t device_index);
 
-  // Runs one device cell cold (fresh Experiment, no template) and folds its
-  // metrics into `group` (which must be the accumulator for
-  // GroupOf(device_index)). Exposed for tests; Run() goes through the
-  // warm-boot template path when config().use_templates (same bytes out).
+  // Runs one device cell — construct its Experiment, settle to quiescence,
+  // run the daily-usage trace — and folds its metrics into `group` (which
+  // must be the accumulator for GroupOf(device_index)).
   void RunDevice(uint64_t device_index, FleetGroupStats& group) const;
 
  private:
-  // Per-worker warm-boot state: one donor Experiment + template per group
-  // this worker has touched, plus a reusable snapshot writer. Defined in
-  // fleet.cc; workers are threads, so nothing here is shared.
-  struct WorkerContext;
-
   // The experiment config for one (tier, scheme) group; everything but the
   // seed is a pure function of the group index.
   ExperimentConfig GroupConfig(size_t group, uint64_t seed) const;
-  // Template-or-cold dispatch for one device.
-  void RunDeviceWith(WorkerContext& wc, uint64_t device_index,
-                     FleetGroupStats& group) const;
-  // The trace phase shared by both paths, on an experiment already at the
-  // post-boot quiescent boundary.
-  void RunTrace(Experiment& exp,
-                const std::vector<UsageTraceRunner::InstalledApp>& apps,
-                FleetGroupStats& group) const;
-  void RunChunk(uint64_t chunk_index, std::vector<FleetGroupStats>& partial,
-                WorkerContext& wc) const;
+  void RunChunk(uint64_t chunk_index, std::vector<FleetGroupStats>& partial) const;
   std::vector<FleetGroupStats> MakeAccumulators() const;
 
   FleetConfig config_;

@@ -1,15 +1,9 @@
 #include "src/harness/sweep.h"
 
 #include <algorithm>
-
-#include "src/base/binary_stream.h"
 #include <cstdint>
 #include <cstdlib>
-#include <map>
-#include <optional>
-#include <sstream>
 #include <thread>
-#include <utility>
 
 namespace ice {
 
@@ -99,116 +93,9 @@ void SweepRunner::Dispatch(size_t n, const std::function<void(size_t)>& task) co
   }
 }
 
-namespace {
-
-// Cells share a caching prefix iff they agree on everything but the
-// background-app count: full config, scenario (which fixes the excluded
-// foreground app) and measurement window.
-std::string PrefixGroupKey(const SweepCell& cell) {
-  std::ostringstream out;
-  out << ConfigFingerprint(cell.config) << " scenario=" << static_cast<int>(cell.scenario)
-      << " duration=" << cell.duration << " warmup=" << cell.warmup;
-  return out.str();
-}
-
-// Phase 1 body: run one donor through the group's shared caching prefix,
-// snapshotting at each member's boundary — except the last (largest-bg)
-// member, whose cell the donor runs inline: at that point the donor *is*
-// that cell's cold state, so a save/restore round trip of the biggest
-// snapshot would be pure overhead. Members are in ascending-bg order. On
-// any failure (settle does not converge, pool exhausted, or an exception)
-// the remaining members keep an empty slot and fall back cold.
-void RunPrefixDonor(const std::vector<SweepCell>& cells,
-                    const std::vector<size_t>& members,
-                    std::vector<std::optional<std::vector<uint8_t>>>& snapshots,
-                    std::vector<std::optional<ScenarioResult>>& donor_results) {
-  try {
-    const SweepCell& proto = cells[members.front()];
-    Experiment donor(proto.config);
-    Uid fg = donor.UidOf(ScenarioPackage(proto.scenario));
-    std::vector<Uid> pool = donor.PlanBackgroundPool({fg});
-    int cached = 0;
-    // One writer for every boundary this donor saves: Clear() keeps the
-    // buffer, so only the first (smallest) snapshot pays for growth.
-    BinaryWriter writer;
-    for (size_t m = 0; m < members.size(); ++m) {
-      size_t idx = members[m];
-      int bg = SweepRunner::NormalizedBg(cells[idx]);
-      if (static_cast<size_t>(bg) > pool.size()) {
-        return;  // The cold path reports the error for this cell.
-      }
-      while (cached < bg) {
-        if (!donor.CacheOneBackgroundApp(pool[static_cast<size_t>(cached)])) {
-          return;  // No quiescent boundary here: this and later members run cold.
-        }
-        ++cached;
-      }
-      if (m + 1 < members.size()) {
-        writer.Clear();
-        donor.SaveSnapshotInto(writer);
-        snapshots[idx] = writer.FinishInPlace();
-      } else {
-        donor.FinishCaching();
-        donor_results[idx] =
-            donor.RunScenario(cells[idx].scenario, cells[idx].duration, cells[idx].warmup);
-      }
-    }
-  } catch (...) {
-    // Donor construction/caching failed; cold runs will surface the error.
-  }
-}
-
-}  // namespace
-
 std::vector<CellOutcome> SweepRunner::Run(const std::vector<SweepCell>& cells,
-                                          bool share_prefix) const {
-  // Group prefix-sharable cells. std::map keys the groups deterministically;
-  // members keep cell order and are stably sorted by bg so the donor caches
-  // monotonically. A group is worth a donor only when at least two members
-  // actually cache background apps.
-  std::vector<std::optional<std::vector<uint8_t>>> snapshots(cells.size());
-  std::vector<std::optional<ScenarioResult>> donor_results(cells.size());
-  if (share_prefix) {
-    std::map<std::string, std::vector<size_t>> groups;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (NormalizedBg(cells[i]) > 0) {
-        groups[PrefixGroupKey(cells[i])].push_back(i);
-      }
-    }
-    std::vector<std::vector<size_t>> donors;
-    for (auto& [key, members] : groups) {
-      if (members.size() < 2) {
-        continue;
-      }
-      std::stable_sort(members.begin(), members.end(), [&cells](size_t a, size_t b) {
-        return NormalizedBg(cells[a]) < NormalizedBg(cells[b]);
-      });
-      donors.push_back(std::move(members));
-    }
-    // Phase 1: donors in parallel. Each writes only its own members' slots.
-    Dispatch(donors.size(), [&](size_t g) {
-      RunPrefixDonor(cells, donors[g], snapshots, donor_results);
-    });
-  }
-
-  // Phase 2: every cell in parallel — already computed inline by its donor,
-  // forked from its snapshot when phase 1 produced one, cold otherwise.
-  return Map<ScenarioResult>(cells.size(), [&cells, &snapshots,
-                                            &donor_results](size_t i) {
-    if (donor_results[i].has_value()) {
-      return *donor_results[i];
-    }
-    if (snapshots[i].has_value()) {
-      std::vector<uint8_t> bytes = std::move(*snapshots[i]);
-      snapshots[i].reset();
-      // No checksum scan: the bytes never left this process.
-      auto exp = Experiment::RestoreSnapshot(cells[i].config, bytes,
-                                             /*verify_checksum=*/false);
-      exp->FinishCaching();
-      return exp->RunScenario(cells[i].scenario, cells[i].duration, cells[i].warmup);
-    }
-    return RunCell(cells[i]);
-  });
+                                          bool /*share_prefix*/) const {
+  return Map<ScenarioResult>(cells.size(), [&cells](size_t i) { return RunCell(cells[i]); });
 }
 
 int SweepRunner::NormalizedBg(const SweepCell& cell) {

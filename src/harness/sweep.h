@@ -107,23 +107,14 @@ class SweepRunner {
     return out;
   }
 
-  // Runs every cell on the pool. With `share_prefix` on (the default),
-  // cells that agree on everything except their background-app count share
-  // one warmed caching prefix: the common prefix runs once in a donor
-  // experiment, is snapshotted at each member's boundary, and every member
-  // forks from its snapshot instead of re-running the caching from scratch.
-  // Forked cells are byte-identical to cold runs — the full-pool shuffle in
-  // PlanBackgroundPool and the per-app settle-to-quiescence run in both
-  // paths — so sharing changes wall-clock only, never results
-  // (tests/harness/prefix_sweep_test.cc asserts this). Cells that cannot
-  // share (bg = 0, singleton groups, or a donor that fails to reach
-  // quiescence) silently fall back to a cold run.
+  // Runs every cell on the pool through RunCell.
+  // `share_prefix` selects nothing; it remains only because bench/e2e passes it.
   std::vector<CellOutcome> Run(const std::vector<SweepCell>& cells,
                                bool share_prefix = true) const;
 
-  // The canonical cold cell body shared by benches, the CLI and tests:
-  // build an isolated Experiment, cache the background apps, run the
-  // scenario.
+  // The one cell body shared by benches, the CLI and tests: build an
+  // isolated Experiment, cache the background apps (each settled to
+  // quiescence), run the scenario.
   static ScenarioResult RunCell(const SweepCell& cell);
 
   // The cell's effective background-app count (-1 resolves to the device's

@@ -67,7 +67,7 @@ class Tracer {
   std::string Serialize() const;
 
   // Snapshot support. The ring content, totals and task-name table are all
-  // part of the deterministic state a forked cell must reproduce.
+  // part of the deterministic state a restored run must reproduce.
   void SaveTo(BinaryWriter& w) const;
   void RestoreFrom(BinaryReader& r);
 

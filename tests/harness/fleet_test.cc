@@ -74,8 +74,6 @@ TEST(FleetRunnerTest, EmptyFleetProducesEmptyGroups) {
 
 // The determinism contract: fleet output is byte-identical for any jobs=N.
 // This is the in-process twin of the CI leg that diffs --jobs=1 vs --jobs=8.
-// Runs through the default warm-boot template path, so it also pins the
-// per-worker donor/recycle machinery to the shard-independence contract.
 TEST(FleetRunnerTest, ReportIsByteIdenticalAcrossJobCounts) {
   FleetConfig serial_config = SmokeConfig();
   serial_config.jobs = 1;
@@ -104,39 +102,29 @@ TEST(FleetRunnerTest, ReportIsByteIdenticalAcrossJobCounts) {
   EXPECT_GE(serial.peak_arena_bytes, serial.groups[0].peak_arena_bytes);
 }
 
-// The warm-boot acceptance contract: templated output is byte-identical to
-// cold per-device construction, across every tier of the ladder, both aging
-// policies, both swap policies, and for jobs=1 vs jobs=8. One device per
-// (tier, scheme) group keeps every combination inside the smoke budget.
-TEST(FleetRunnerTest, TemplatedMatchesColdAcrossTiersAgingsSwaps) {
+// The same contract across every tier of the ladder, both aging policies and
+// both swap policies. One device per (tier, scheme) group keeps every
+// combination inside the smoke budget.
+TEST(FleetRunnerTest, ByteIdenticalAcrossJobsTiersAgingsSwaps) {
   for (const char* aging : {"two_list", "gen_clock"}) {
     for (const char* swap : {"baseline", "hotness"}) {
       SCOPED_TRACE(std::string(aging) + "/" + swap);
-      FleetConfig base;
-      base.devices = 10;  // 5 tiers x 2 schemes, 1 device per group.
-      base.seed = 99;
-      base.schemes = {"lru_cfs", "ice"};
-      base.aging = aging;
-      base.swap = swap;
-      base.sessions = 1;
-      base.session_mean = Sec(2);
+      FleetConfig serial;
+      serial.devices = 10;  // 5 tiers x 2 schemes, 1 device per group.
+      serial.seed = 99;
+      serial.schemes = {"lru_cfs", "ice"};
+      serial.aging = aging;
+      serial.swap = swap;
+      serial.sessions = 1;
+      serial.session_mean = Sec(2);
+      serial.jobs = 1;
+      FleetResult serial_result = FleetRunner(serial).Run();
+      ASSERT_EQ(serial_result.devices_failed, 0u);
 
-      FleetConfig cold = base;
-      cold.use_templates = false;
-      cold.jobs = 1;
-      FleetResult cold_result = FleetRunner(cold).Run();
-      ASSERT_EQ(cold_result.devices_failed, 0u);
-
-      FleetConfig warm1 = base;
-      warm1.use_templates = true;
-      warm1.jobs = 1;
-      FleetConfig warm8 = base;
-      warm8.use_templates = true;
-      warm8.jobs = 8;
-
-      const std::string want = FleetReportJson("x", cold_result);
-      EXPECT_EQ(want, FleetReportJson("x", FleetRunner(warm1).Run()));
-      EXPECT_EQ(want, FleetReportJson("x", FleetRunner(warm8).Run()));
+      FleetConfig parallel = serial;
+      parallel.jobs = 8;
+      EXPECT_EQ(FleetReportJson("x", serial_result),
+                FleetReportJson("x", FleetRunner(parallel).Run()));
     }
   }
 }
