@@ -1,6 +1,7 @@
 #include "src/android/activity_manager.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -427,87 +428,74 @@ void ActivityManager::NotifyState(App& app, AppState old_state) {
   }
 }
 
-void ActivityManager::SaveTo(BinaryWriter& w) const {
-  w.U64(lifecycle_log_.size());
-  for (const LifecycleEvent& ev : lifecycle_log_) {
-    w.U8(ev.kind);
-    w.I64(ev.uid);
+void ActivityManager::Transfer(SnapshotArchive& ar) {
+  // Phase 1: structural replay. Restoring re-runs the real
+  // StartProcesses/KillApp paths, which reproduces identical pid, space-id
+  // and trace-id allocation; the replayed calls append to lifecycle_log_
+  // again, so a restored run can itself be snapshotted.
+  if (ar.loading()) {
+    ICE_CHECK(lifecycle_log_.empty()) << "restore into a used ActivityManager";
   }
-  w.I64(foreground_ != nullptr ? foreground_->uid() : kInvalidUid);
-  w.U64(launches_.size());
-  for (const LaunchRecord& rec : launches_) {
-    w.I64(rec.uid);
-    w.Bool(rec.cold);
-    w.U64(rec.start);
-    w.U64(rec.latency);
-    w.Bool(rec.completed);
-  }
-  w.I64(next_uid_);
-  w.I64(next_pid_);
-  w.U64(entries_.size());
-  for (const AppEntry& e : entries_) {
-    w.Bool(e.interactive);
-    const App& app = *e.app;
-    w.U8(static_cast<uint8_t>(app.state()));
-    w.I64(app.oom_adj());
-    w.Bool(app.frozen());
-    w.U64(app.cpu_time_us);
-    w.U64(app.last_foreground_time);
-  }
-}
-
-void ActivityManager::RestoreFrom(BinaryReader& r) {
-  ICE_CHECK(lifecycle_log_.empty()) << "restore into a used ActivityManager";
-  // Phase 1: structural replay. Re-running the real StartProcesses/KillApp
-  // paths reproduces identical pid, space-id and trace-id allocation; the
-  // replayed calls append to lifecycle_log_ again, so a restored run can
-  // itself be snapshotted.
-  uint64_t events = r.U64();
-  replaying_ = true;
-  for (uint64_t i = 0; i < events; ++i) {
-    uint8_t kind = r.U8();
-    Uid uid = static_cast<Uid>(r.I64());
-    AppEntry* e = EntryOf(uid);
-    ICE_CHECK(e != nullptr) << "replay references unknown uid " << uid;
-    if (kind == 0) {
-      StartProcesses(*e);
-    } else {
-      KillApp(*e->app);
+  std::vector<LifecycleEvent> replay;
+  ar.Sequence(ar.loading() ? replay : lifecycle_log_, 9, [&ar](LifecycleEvent& ev) {
+    ar.U8(ev.kind);
+    ar.I64(ev.uid);
+  });
+  if (ar.loading()) {
+    replaying_ = true;
+    for (const LifecycleEvent& ev : replay) {
+      AppEntry* e = EntryOf(ev.uid);
+      // A start needs a stopped app and a kill a running one.
+      if (e == nullptr || ev.kind > 1 || e->app->running() != (ev.kind == 1)) {
+        SnapshotArchive::Fail("lifecycle replay diverged at uid " + std::to_string(ev.uid));
+      }
+      if (ev.kind == 0) {
+        StartProcesses(*e);
+      } else {
+        KillApp(*e->app);
+      }
     }
+    replaying_ = false;
   }
-  replaying_ = false;
 
   // Phase 2: dynamic state.
-  Uid fg = static_cast<Uid>(r.I64());
-  foreground_ = fg == kInvalidUid ? nullptr : FindApp(fg);
-  ICE_CHECK(fg == kInvalidUid || foreground_ != nullptr);
-  launches_.clear();
-  uint64_t launch_count = r.U64();
-  launches_.reserve(launch_count);
-  for (uint64_t i = 0; i < launch_count; ++i) {
-    LaunchRecord rec;
-    rec.uid = static_cast<Uid>(r.I64());
-    rec.cold = r.Bool();
-    rec.start = r.U64();
-    rec.latency = r.U64();
-    rec.completed = r.Bool();
-    ICE_CHECK(rec.completed) << "snapshot with an in-flight launch";
-    launches_.push_back(rec);
+  Uid fg = foreground_ != nullptr ? foreground_->uid() : kInvalidUid;
+  ar.I64(fg);
+  if (ar.loading()) {
+    foreground_ = fg == kInvalidUid ? nullptr : FindApp(fg);
+    if (fg != kInvalidUid && foreground_ == nullptr) {
+      SnapshotArchive::Fail("unknown foreground uid " + std::to_string(fg));
+    }
   }
-  Uid next_uid = static_cast<Uid>(r.I64());
-  Pid next_pid = static_cast<Pid>(r.I64());
-  ICE_CHECK_EQ(next_uid, next_uid_) << "structural replay diverged (uids)";
-  ICE_CHECK_EQ(next_pid, next_pid_) << "structural replay diverged (pids)";
-  uint64_t entry_count = r.U64();
-  ICE_CHECK_EQ(entry_count, entries_.size());
+  ar.Sequence(launches_, 26, [&ar](LaunchRecord& rec) {
+    ar.I64(rec.uid);
+    ar.Bool(rec.cold);
+    ar.U64(rec.start);
+    ar.U64(rec.latency);
+    ar.Bool(rec.completed);
+    if (ar.loading() && !rec.completed) {
+      SnapshotArchive::Fail("snapshot with an in-flight launch");
+    }
+  });
+  ar.Expect<int64_t>(next_uid_, "uid allocation");
+  ar.Expect<int64_t>(next_pid_, "pid allocation");
+  ar.Expect<uint64_t>(entries_.size(), "installed app count");
   for (AppEntry& e : entries_) {
-    e.interactive = r.Bool();
     App& app = *e.app;
-    app.set_state(static_cast<AppState>(r.U8()));
-    app.set_oom_adj(static_cast<int>(r.I64()));
-    app.set_frozen(r.Bool());
-    app.cpu_time_us = r.U64();
-    app.last_foreground_time = r.U64();
+    AppState state = app.state();
+    int oom_adj = app.oom_adj();
+    bool frozen = app.frozen();
+    ar.Bool(e.interactive);
+    ar.U8(state);
+    ar.I64(oom_adj);
+    ar.Bool(frozen);
+    ar.U64(app.cpu_time_us);
+    ar.U64(app.last_foreground_time);
+    if (ar.loading()) {
+      app.set_state(state);
+      app.set_oom_adj(oom_adj);
+      app.set_frozen(frozen);
+    }
   }
 }
 

@@ -27,8 +27,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 // Static description of an application (install-time knowledge).
 struct AppDescriptor {
@@ -136,13 +135,12 @@ class ActivityManager {
   // ---- Snapshot support -----------------------------------------------------
   // Process/task creation cannot be deserialized directly (tasks own live
   // behaviors, spaces own arenas), so the snapshot stores the *lifecycle log*
-  // — the ordered StartProcesses/KillApp history — and RestoreFrom replays it
+  // — the ordered StartProcesses/KillApp history — and restoring replays it
   // against a freshly constructed ActivityManager. Replay re-runs the real
   // code paths, reproducing identical pid/space-id/trace-id allocation, with
   // listeners suppressed (policy state is restored from its own sections).
   // Dynamic per-app state is then overwritten from the stream.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
   // ---- Recycling support ----------------------------------------------------
   // Two-phase teardown bracketing the scheduler's task destruction:
@@ -150,7 +148,7 @@ class ActivityManager {
   // (releasing their memory and marking their tasks dead); after the
   // scheduler has destroyed those dead tasks, ResetForRecycle drops the
   // process graveyard (safe only once no task references the processes) and
-  // rewinds the lifecycle history so RestoreFrom sees a fresh manager.
+  // rewinds the lifecycle history so Transfer sees a fresh manager.
   // Installed apps and the uid sequence are kept — the catalog is identical
   // across devices of a group.
   void KillAllForRecycle();

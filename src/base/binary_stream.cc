@@ -153,8 +153,7 @@ void BinaryReader::Fail(const std::string& what) const {
 }
 
 void BinaryReader::Need(size_t n) const {
-  size_t end = section_end_.empty() ? limit_ : section_end_.back();
-  if (pos_ + n > end) {
+  if (n > remaining()) {
     Fail("truncated stream (read past " +
          std::string(section_end_.empty() ? "end" : "section end") + ")");
   }
@@ -246,6 +245,52 @@ void BinaryReader::ExpectEnd() {
   if (pos_ != limit_) {
     Fail("trailing bytes after end marker");
   }
+}
+
+void SnapshotArchive::Str(std::string& s) {
+  if (writer_ != nullptr) {
+    writer_->Str(s);
+  } else {
+    s = reader_->Str();
+  }
+}
+
+void SnapshotArchive::Bytes(void* data, size_t size) {
+  if (writer_ != nullptr) {
+    writer_->Bytes(data, size);
+  } else {
+    reader_->Bytes(data, size);
+  }
+}
+
+size_t SnapshotArchive::Count(size_t n, size_t min_item_bytes) {
+  uint64_t count = n;
+  U64(count);
+  if (loading() && count > reader_->remaining() / min_item_bytes) {
+    Fail("length prefix " + std::to_string(count) + " exceeds the " +
+         std::to_string(reader_->remaining()) + " bytes left in the section");
+  }
+  return static_cast<size_t>(count);
+}
+
+void SnapshotArchive::BeginSection(uint32_t tag) {
+  if (writer_ != nullptr) {
+    writer_->BeginSection(tag);
+  } else {
+    reader_->ExpectSection(tag);
+  }
+}
+
+void SnapshotArchive::EndSection() {
+  if (writer_ != nullptr) {
+    writer_->EndSection();
+  } else {
+    reader_->EndSection();
+  }
+}
+
+void SnapshotArchive::Fail(const std::string& what) {
+  throw std::runtime_error("snapshot: " + what);
 }
 
 }  // namespace ice

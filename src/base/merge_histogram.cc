@@ -143,32 +143,17 @@ double MergeHistogram::Percentile(double q) const {
   return Max();
 }
 
-void MergeHistogram::SaveTo(BinaryWriter& w) const {
-  w.F64(options_.lo);
-  w.F64(options_.hi);
-  w.U32(options_.buckets);
-  for (uint64_t c : counts_) {
-    w.U64(c);
-  }
-  w.U64(count_);
-  w.F64(sum_);
-  w.F64(min_);
-  w.F64(max_);
-}
-
-void MergeHistogram::RestoreFrom(BinaryReader& r) {
-  const double lo = r.F64();
-  const double hi = r.F64();
-  const uint32_t buckets = r.U32();
-  ICE_CHECK(lo == options_.lo && hi == options_.hi && buckets == options_.buckets)
-      << "restoring a histogram with a different bucket shape";
+void MergeHistogram::Transfer(SnapshotArchive& ar) {
+  ar.Expect<double>(options_.lo, "histogram lower edge");
+  ar.Expect<double>(options_.hi, "histogram upper edge");
+  ar.Expect<uint32_t>(options_.buckets, "histogram bucket count");
   for (uint64_t& c : counts_) {
-    c = r.U64();
+    ar.U64(c);
   }
-  count_ = r.U64();
-  sum_ = r.F64();
-  min_ = r.F64();
-  max_ = r.F64();
+  ar.U64(count_);
+  ar.F64(sum_);
+  ar.F64(min_);
+  ar.F64(max_);
 }
 
 std::string MergeHistogram::Summary() const {

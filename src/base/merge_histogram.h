@@ -24,8 +24,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class MergeHistogram {
  public:
@@ -76,8 +75,7 @@ class MergeHistogram {
   // only restores into one constructed with the same Options) plus counts
   // and running aggregates. bounds_ are recomputed by the constructor, so
   // they are not serialized.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   Options options_;

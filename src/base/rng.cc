@@ -133,18 +133,11 @@ double Rng::LogNormal(double median, double sigma) {
 
 Rng Rng::Fork() { return Rng(Next64()); }
 
-void Rng::SaveTo(BinaryWriter& w) const {
-  w.U64(state_);
-  w.U64(inc_);
-  w.Bool(has_gauss_);
-  w.F64(gauss_);
-}
-
-void Rng::RestoreFrom(BinaryReader& r) {
-  state_ = r.U64();
-  inc_ = r.U64();
-  has_gauss_ = r.Bool();
-  gauss_ = r.F64();
+void Rng::Transfer(SnapshotArchive& ar) {
+  ar.U64(state_);
+  ar.U64(inc_);
+  ar.Bool(has_gauss_);
+  ar.F64(gauss_);
 }
 
 }  // namespace ice

@@ -14,8 +14,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class Rng {
  public:
@@ -68,8 +67,7 @@ class Rng {
 
   // Snapshot support: the complete generator state (PCG32 state/stream plus
   // the cached Box-Muller value), so a restored stream continues bit-exact.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   uint64_t state_;

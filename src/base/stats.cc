@@ -32,21 +32,14 @@ void StatsRegistry::Reset() {
   }
 }
 
-void StatsRegistry::SaveTo(BinaryWriter& w) const {
-  w.U64(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    w.Str(name);
-    w.U64(value);
+void StatsRegistry::Transfer(SnapshotArchive& ar) {
+  if (ar.loading()) {
+    Reset();
   }
-}
-
-void StatsRegistry::RestoreFrom(BinaryReader& r) {
-  Reset();
-  uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name = r.Str();
-    counters_[name] = r.U64();
-  }
+  ar.Entries(counters_, 16, [&ar](std::string& name, uint64_t& value) {
+    ar.Str(name);
+    ar.U64(value);
+  });
 }
 
 std::string StatsRegistry::ToString() const {

@@ -12,8 +12,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class StatsRegistry {
  public:
@@ -39,11 +38,10 @@ class StatsRegistry {
 
   std::string ToString() const;
 
-  // Snapshot support. RestoreFrom zeroes existing counters in place and
+  // Snapshot support. Restoring zeroes existing counters in place and
   // overwrites/creates from the stream — counters are never erased, so
   // pointers handed out by Counter() stay valid across a restore.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   // std::map keeps pointer stability on insert.

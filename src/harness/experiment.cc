@@ -127,9 +127,9 @@ Experiment::Experiment(const ExperimentConfig& config,
     engine_->RunFor(Sec(2));
   } else {
     // Restore mode: nothing has run yet, so the only scheduled events are
-    // the ones Install() armed — RestoreFromBytes cancels those and replays
+    // the ones Install() armed — RestoreBytes cancels those and replays
     // the saved state instead.
-    RestoreFromBytes(*snapshot, verify_checksum);
+    RestoreBytes(*snapshot, verify_checksum);
   }
 }
 
@@ -317,39 +317,9 @@ void Experiment::SaveSnapshotInto(BinaryWriter& w) const {
   // section, including a full trace ring). On a reused writer whose buffer
   // already reached this size, Reserve is a no-op.
   w.Reserve(mm_->arena_bytes_live() + mm_->arena_bytes_live() / 8 + (4u << 20));
-  w.BeginSection(kSectionMeta);
-  w.Str(Fingerprint());
-  w.EndSection();
-  w.BeginSection(kSectionEngine);
-  engine_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionActivityManager);
-  am_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionMemory);
-  mm_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionScheduler);
-  scheduler_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionStorage);
-  storage_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionFreezer);
-  freezer_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionLmk);
-  lmk_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionScheme);
-  scheme_->SaveTo(w);
-  w.EndSection();
-  w.BeginSection(kSectionTrace);
-  w.Bool(tracer_ != nullptr);
-  if (tracer_ != nullptr) {
-    tracer_->SaveTo(w);
-  }
-  w.EndSection();
+  SnapshotArchive ar(w);
+  // Transfer serves both directions, so it is not const; saving only reads.
+  const_cast<Experiment*>(this)->TransferSections(ar, /*seed_agnostic=*/false);
 }
 
 void Experiment::SaveSnapshotToFile(const std::string& path) const {
@@ -362,57 +332,50 @@ void Experiment::SaveSnapshotToFile(const std::string& path) const {
   ICE_CHECK(out.good()) << "short write to snapshot file: " << path;
 }
 
-void Experiment::RestoreFromBytes(const std::vector<uint8_t>& snapshot,
-                                  bool verify_checksum, bool seed_agnostic) {
+void Experiment::RestoreBytes(const std::vector<uint8_t>& snapshot, bool verify_checksum,
+                              bool seed_agnostic) {
   BinaryReader r(snapshot, verify_checksum);
-  r.ExpectSection(kSectionMeta);
-  std::string fp = r.Str();
-  r.EndSection();
-  std::string expected = Fingerprint();
-  bool match = seed_agnostic ? StripSeedToken(fp) == StripSeedToken(expected)
-                             : fp == expected;
-  if (!match) {
-    throw std::runtime_error("snapshot: config fingerprint mismatch\n  snapshot: " +
-                             fp + "\n  config:   " + expected);
-  }
-  // Cancel everything Install() armed; the wheel must be empty before the
-  // engine restore so the saved event sequence replays exactly.
-  scheme_->BeginRestore();
-  r.ExpectSection(kSectionEngine);
-  engine_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionActivityManager);
-  am_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionMemory);
-  mm_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionScheduler);
-  scheduler_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionStorage);
-  storage_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionFreezer);
-  freezer_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionLmk);
-  lmk_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionScheme);
-  scheme_->RestoreFrom(r);
-  r.EndSection();
-  r.ExpectSection(kSectionTrace);
-  bool has_trace = r.Bool();
-  if (has_trace != (tracer_ != nullptr)) {
-    throw std::runtime_error(
-        "snapshot: tracing configuration mismatch between snapshot and config");
-  }
-  if (has_trace) {
-    tracer_->RestoreFrom(r);
-  }
-  r.EndSection();
+  SnapshotArchive ar(r);
+  TransferSections(ar, seed_agnostic);
   r.ExpectEnd();
+}
+
+void Experiment::TransferSections(SnapshotArchive& ar, bool seed_agnostic) {
+  std::string fp = Fingerprint();
+  ar.BeginSection(kSectionMeta);
+  ar.Str(fp);
+  ar.EndSection();
+  if (ar.loading()) {
+    std::string expected = Fingerprint();
+    bool match = seed_agnostic ? StripSeedToken(fp) == StripSeedToken(expected)
+                               : fp == expected;
+    if (!match) {
+      SnapshotArchive::Fail("config fingerprint mismatch\n  snapshot: " + fp +
+                            "\n  config:   " + expected);
+    }
+    // Cancel everything Install() armed; the wheel must be empty before the
+    // engine restore so the saved event sequence replays exactly.
+    scheme_->BeginRestore();
+  }
+  auto section = [&ar](uint32_t tag, auto& subsystem) {
+    ar.BeginSection(tag);
+    subsystem.Transfer(ar);
+    ar.EndSection();
+  };
+  section(kSectionEngine, *engine_);
+  section(kSectionActivityManager, *am_);
+  section(kSectionMemory, *mm_);
+  section(kSectionScheduler, *scheduler_);
+  section(kSectionStorage, *storage_);
+  section(kSectionFreezer, *freezer_);
+  section(kSectionLmk, *lmk_);
+  section(kSectionScheme, *scheme_);
+  ar.BeginSection(kSectionTrace);
+  ar.Expect<uint8_t>(tracer_ != nullptr, "tracing configuration");
+  if (tracer_ != nullptr) {
+    tracer_->Transfer(ar);
+  }
+  ar.EndSection();
 }
 
 void Experiment::ResetForRecycle() {
@@ -423,7 +386,7 @@ void Experiment::ResetForRecycle() {
   //     releases spaces back to the MM, drains their pending faults, drops
   //     their zram residency, and parks the processes in the graveyard).
   //  3. Clear the wheel. Boot tasks keep stale timer handles; the generation
-  //     bump makes them resolve to nothing, and Task::RestoreFrom re-arms.
+  //     bump makes them resolve to nothing, and Task::Transfer re-arms.
   //  4. Destroy the dead post-boot tasks and rewind the task-id sequence.
   //     Must precede graveyard teardown: tasks hold Process* backpointers.
   //  5. Drop the graveyard and rewind the lifecycle history / pid sequence.
@@ -441,7 +404,7 @@ void Experiment::RestoreTemplate(const std::vector<uint8_t>& snapshot,
                                  uint64_t new_seed) {
   ResetForRecycle();
   config_.seed = new_seed;
-  RestoreFromBytes(snapshot, /*verify_checksum=*/false, /*seed_agnostic=*/true);
+  RestoreBytes(snapshot, /*verify_checksum=*/false, /*seed_agnostic=*/true);
   // The snapshot carries the donor's trace stream; give this device its own.
   // The noise stream stays as restored — cold and templated runs then consume
   // identical noise draws from the template point on.

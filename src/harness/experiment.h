@@ -31,6 +31,9 @@
 
 namespace ice {
 
+class BinaryWriter;
+class SnapshotArchive;
+
 struct ExperimentConfig {
   DeviceProfile device;
   uint64_t seed = 42;
@@ -236,8 +239,12 @@ class Experiment {
 
   // `seed_agnostic` compares fingerprints with the seed token stripped
   // (RestoreTemplate overlays a donor snapshot onto a different seed).
-  void RestoreFromBytes(const std::vector<uint8_t>& snapshot, bool verify_checksum,
-                        bool seed_agnostic = false);
+  void RestoreBytes(const std::vector<uint8_t>& snapshot, bool verify_checksum,
+                    bool seed_agnostic = false);
+
+  // The ten snapshot sections, listed once for save and restore: the config
+  // fingerprint, then one section per subsystem's Transfer.
+  void TransferSections(SnapshotArchive& ar, bool seed_agnostic);
 
   // Teardown half of RestoreTemplate; see the member comment there for the
   // ordering contract between the wheel clear, task destruction, and the

@@ -76,27 +76,18 @@ void IceDaemon::Install(const SystemRefs& refs) {
   mdt_->Start();
 }
 
-void IceDaemon::SaveTo(BinaryWriter& w) const {
-  ICE_CHECK(installed_);
-  w.I64(last_foreground_);
-  table_.SaveTo(w);
-  predictor_.SaveTo(w);
-  rpf_->SaveTo(w);
-  mdt_->SaveTo(w);
-}
-
 void IceDaemon::BeginRestore() {
   ICE_CHECK(installed_);
   mdt_->BeginRestore();
 }
 
-void IceDaemon::RestoreFrom(BinaryReader& r) {
+void IceDaemon::Transfer(SnapshotArchive& ar) {
   ICE_CHECK(installed_);
-  last_foreground_ = static_cast<Uid>(r.I64());
-  table_.RestoreFrom(r);
-  predictor_.RestoreFrom(r);
-  rpf_->RestoreFrom(r);
-  mdt_->RestoreFrom(r);
+  ar.I64(last_foreground_);
+  table_.Transfer(ar);
+  predictor_.Transfer(ar);
+  rpf_->Transfer(ar);
+  mdt_->Transfer(ar);
 }
 
 void RegisterIceScheme() {

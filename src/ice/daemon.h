@@ -31,9 +31,8 @@ class IceDaemon : public Scheme {
 
   // Snapshot support: serializes the mapping table, predictor, RPF counters
   // and MDT (incl. its heartbeat event). The whitelist is config-derived.
-  void SaveTo(BinaryWriter& w) const override;
   void BeginRestore() override;
-  void RestoreFrom(BinaryReader& r) override;
+  void Transfer(SnapshotArchive& ar) override;
 
   MappingTable& mapping_table() { return table_; }
   Whitelist& whitelist() { return whitelist_; }

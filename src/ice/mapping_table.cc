@@ -6,37 +6,15 @@
 
 namespace ice {
 
-void MappingTable::SaveTo(BinaryWriter& w) const {
-  w.U64(entries_.size());
-  for (const AppEntry& e : entries_) {
-    w.I64(e.uid);
-    w.Bool(e.frozen);
-    w.U64(e.processes.size());
-    for (const ProcessEntry& p : e.processes) {
-      w.I64(p.pid);
-      w.I64(p.score);
-    }
-  }
-}
-
-void MappingTable::RestoreFrom(BinaryReader& r) {
-  entries_.clear();
-  uint64_t apps = r.U64();
-  entries_.reserve(apps);
-  for (uint64_t i = 0; i < apps; ++i) {
-    AppEntry e;
-    e.uid = static_cast<Uid>(r.I64());
-    e.frozen = r.Bool();
-    uint64_t procs = r.U64();
-    e.processes.reserve(procs);
-    for (uint64_t j = 0; j < procs; ++j) {
-      ProcessEntry p;
-      p.pid = static_cast<Pid>(r.I64());
-      p.score = static_cast<int>(r.I64());
-      e.processes.push_back(p);
-    }
-    entries_.push_back(std::move(e));
-  }
+void MappingTable::Transfer(SnapshotArchive& ar) {
+  ar.Sequence(entries_, 17, [&ar](AppEntry& e) {
+    ar.I64(e.uid);
+    ar.Bool(e.frozen);
+    ar.Sequence(e.processes, 16, [&ar](ProcessEntry& p) {
+      ar.I64(p.pid);
+      ar.I64(p.score);
+    });
+  });
 }
 
 MappingTable::AppEntry* MappingTable::FindMutable(Uid uid) {

@@ -17,8 +17,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class MappingTable {
  public:
@@ -57,8 +56,7 @@ class MappingTable {
   const std::vector<AppEntry>& entries() const { return entries_; }
 
   // Snapshot support.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   AppEntry* FindMutable(Uid uid);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/base/binary_stream.h"
 #include "src/base/log.h"
@@ -87,27 +87,6 @@ void Mdt::BeginThawPeriod() {
   pending_ = engine_.ScheduleAfter(config_.thaw_duration, [this]() { BeginFreezePeriod(); });
 }
 
-void Mdt::SaveTo(BinaryWriter& w) const {
-  w.Bool(started_);
-  w.Bool(in_thaw_period_);
-  w.U64(epochs_);
-  w.U64(managed_.size());
-  for (Uid uid : managed_) {
-    w.I64(uid);
-  }
-  bool has_pending = pending_ != kInvalidEventId;
-  std::optional<std::pair<SimTime, uint64_t>> info;
-  if (has_pending) {
-    info = engine_.PendingEvent(pending_);
-    ICE_CHECK(info.has_value()) << "MDT heartbeat event is stale";
-  }
-  w.Bool(has_pending);
-  if (has_pending) {
-    w.U64(info->first);
-    w.U64(info->second);
-  }
-}
-
 void Mdt::BeginRestore() {
   if (pending_ != kInvalidEventId) {
     engine_.Cancel(pending_);
@@ -115,27 +94,24 @@ void Mdt::BeginRestore() {
   }
 }
 
-void Mdt::RestoreFrom(BinaryReader& r) {
-  ICE_CHECK_EQ(pending_, kInvalidEventId) << "BeginRestore must run first";
-  started_ = r.Bool();
-  in_thaw_period_ = r.Bool();
-  epochs_ = r.U64();
-  managed_.clear();
-  uint64_t count = r.U64();
-  for (uint64_t i = 0; i < count; ++i) {
-    managed_.insert(static_cast<Uid>(r.I64()));
+void Mdt::Transfer(SnapshotArchive& ar) {
+  ar.Bool(started_);
+  ar.Bool(in_thaw_period_);
+  ar.U64(epochs_);
+  std::vector<Uid> managed(managed_.begin(), managed_.end());
+  ar.Sequence(managed, 8, [&ar](Uid& uid) { ar.I64(uid); });
+  if (ar.loading()) {
+    managed_ = std::set<Uid>(managed.begin(), managed.end());
   }
-  if (r.Bool()) {
-    SimTime when = r.U64();
-    uint64_t seq = r.U64();
-    // The pending event is the *next* period boundary: leaving a thaw period
-    // begins a freeze period, and vice versa.
-    if (in_thaw_period_) {
-      pending_ = engine_.ScheduleAtWithSeq(when, seq, [this]() { BeginFreezePeriod(); });
+  // The pending event is the *next* period boundary: leaving a thaw period
+  // begins a freeze period, and vice versa.
+  engine_.TransferOptionalEvent(ar, pending_, [this, thaw = in_thaw_period_]() {
+    if (thaw) {
+      BeginFreezePeriod();
     } else {
-      pending_ = engine_.ScheduleAtWithSeq(when, seq, [this]() { BeginThawPeriod(); });
+      BeginThawPeriod();
     }
-  }
+  });
 }
 
 }  // namespace ice

@@ -24,8 +24,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class Mdt {
  public:
@@ -53,9 +52,8 @@ class Mdt {
   // ---- Snapshot support -----------------------------------------------------
   // The heartbeat is one pending event (next period boundary); it is saved as
   // (deadline, seq) and re-armed with the same sequence number on restore.
-  void SaveTo(BinaryWriter& w) const;
   void BeginRestore();  // Cancels the heartbeat Start() armed.
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   void BeginFreezePeriod();

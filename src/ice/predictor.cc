@@ -6,32 +6,18 @@
 
 namespace ice {
 
-void AppUsagePredictor::SaveTo(BinaryWriter& w) const {
-  w.U64(transitions_);
-  w.U64(counts_.size());
-  for (const auto& [from, tos] : counts_) {
-    w.I64(from);
-    w.U64(tos.size());
-    for (const auto& [to, count] : tos) {
-      w.I64(to);
-      w.U64(count);
-    }
+void AppUsagePredictor::Transfer(SnapshotArchive& ar) {
+  ar.U64(transitions_);
+  if (ar.loading()) {
+    counts_.clear();
   }
-}
-
-void AppUsagePredictor::RestoreFrom(BinaryReader& r) {
-  counts_.clear();
-  transitions_ = r.U64();
-  uint64_t froms = r.U64();
-  for (uint64_t i = 0; i < froms; ++i) {
-    Uid from = static_cast<Uid>(r.I64());
-    auto& tos = counts_[from];
-    uint64_t entries = r.U64();
-    for (uint64_t j = 0; j < entries; ++j) {
-      Uid to = static_cast<Uid>(r.I64());
-      tos[to] = r.U64();
-    }
-  }
+  ar.Entries(counts_, 16, [&ar](Uid& from, std::map<Uid, uint64_t>& tos) {
+    ar.I64(from);
+    ar.Entries(tos, 16, [&ar](Uid& to, uint64_t& count) {
+      ar.I64(to);
+      ar.U64(count);
+    });
+  });
 }
 
 void AppUsagePredictor::RecordSwitch(Uid from, Uid to) {

@@ -20,8 +20,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class AppUsagePredictor {
  public:
@@ -41,8 +40,7 @@ class AppUsagePredictor {
 
   // Snapshot support (std::map iteration is ordered, so the wire format is
   // deterministic).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   // count_[from][to] = observed transitions.

@@ -18,18 +18,11 @@ Rpf::Rpf(const IceConfig& config, MappingTable& table, Whitelist& whitelist, Fre
       am_(am),
       mdt_(mdt) {}
 
-void Rpf::SaveTo(BinaryWriter& w) const {
-  w.U64(events_seen_);
-  w.U64(events_foreground_);
-  w.U64(events_sifted_);
-  w.U64(freezes_triggered_);
-}
-
-void Rpf::RestoreFrom(BinaryReader& r) {
-  events_seen_ = r.U64();
-  events_foreground_ = r.U64();
-  events_sifted_ = r.U64();
-  freezes_triggered_ = r.U64();
+void Rpf::Transfer(SnapshotArchive& ar) {
+  ar.U64(events_seen_);
+  ar.U64(events_foreground_);
+  ar.U64(events_sifted_);
+  ar.U64(freezes_triggered_);
 }
 
 void Rpf::OnRefault(const RefaultEvent& event) {

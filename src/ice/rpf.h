@@ -19,8 +19,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 class Mdt;
 
 class Rpf : public RefaultListener {
@@ -37,8 +36,7 @@ class Rpf : public RefaultListener {
   uint64_t freezes_triggered() const { return freezes_triggered_; }
 
   // Snapshot support (counters only; RPF is otherwise event-driven).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   IceConfig config_;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <new>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -91,16 +90,18 @@ struct FreshRecord {
 
 }  // namespace
 
-void AddressSpace::SaveTo(BinaryWriter& w) const {
-  w.U32(space_id_);
-  w.U64(page_count_);
+void AddressSpace::Transfer(SnapshotArchive& ar) {
+  ar.Expect<uint32_t>(space_id_, "address-space id");
+  ar.Expect<uint64_t>(page_count_, "address-space page count");
   // Sparse arena dump: only runs of records that differ from their
   // freshly-constructed state, as {u32 first vpn, u32 count, raw records}
   // extents. Typically half of an arena is untouched VA whose records are
   // byte-identical to what the constructor rebuilds, so shipping them would
   // double the stream for nothing — arena payload dominates snapshot size.
+  // On restore the arena was freshly constructed by the lifecycle replay, so
+  // every record outside the extents already holds its saved (fresh) bytes.
   std::vector<std::pair<uint32_t, uint32_t>> extents;
-  {
+  if (!ar.loading()) {
     FreshRecord fresh(HeapKind::kJavaHeap);
     HeapKind kind = HeapKind::kJavaHeap;
     uint32_t run_start = 0;
@@ -125,46 +126,24 @@ void AddressSpace::SaveTo(BinaryWriter& w) const {
       extents.emplace_back(run_start, static_cast<uint32_t>(page_count_) - run_start);
     }
   }
-  w.U64(extents.size());
-  for (const auto& [start, count] : extents) {
-    w.U32(start);
-    w.U32(count);
-    w.Bytes(pages_.get() + start, count * sizeof(PageInfo));
-  }
-  w.U64(resident_);
-  w.U64(evicted_);
-  w.U64(total_evictions);
-  w.U64(total_refaults);
-  w.U32(last_flash_fault_vpn);
-  lru_.SaveTo(w);
-}
-
-void AddressSpace::RestoreFrom(BinaryReader& r) {
-  uint32_t space_id = r.U32();
-  ICE_CHECK_EQ(space_id, space_id_) << "snapshot space-id mismatch for " << name_;
-  uint64_t count = r.U64();
-  ICE_CHECK_EQ(count, page_count_) << "snapshot layout mismatch for " << name_;
-  // The arena was freshly constructed by the restore-mode lifecycle replay,
-  // so every record outside the dumped extents already holds its saved
-  // (fresh) bytes; only the extents need copying in.
-  uint64_t n_extents = r.U64();
   uint64_t prev_end = 0;
-  for (uint64_t i = 0; i < n_extents; ++i) {
-    uint32_t start = r.U32();
-    uint32_t run = r.U32();
-    if (start < prev_end || static_cast<uint64_t>(start) + run > page_count_) {
-      throw std::runtime_error("snapshot: arena extent out of order or out of range for " +
-                               name_);
+  ar.Sequence(extents, 8, [&](std::pair<uint32_t, uint32_t>& extent) {
+    auto& [start, run] = extent;
+    ar.U32(start);
+    ar.U32(run);
+    uint64_t end = static_cast<uint64_t>(start) + run;
+    if (start < prev_end || end > page_count_) {
+      SnapshotArchive::Fail("arena extent out of order or out of range for " + name_);
     }
-    r.Bytes(pages_.get() + start, run * sizeof(PageInfo));
-    prev_end = static_cast<uint64_t>(start) + run;
-  }
-  resident_ = r.U64();
-  evicted_ = r.U64();
-  total_evictions = r.U64();
-  total_refaults = r.U64();
-  last_flash_fault_vpn = r.U32();
-  lru_.RestoreFrom(r);
+    ar.Bytes(pages_.get() + start, run * sizeof(PageInfo));
+    prev_end = end;
+  });
+  ar.U64(resident_);
+  ar.U64(evicted_);
+  ar.U64(total_evictions);
+  ar.U64(total_refaults);
+  ar.U32(last_flash_fault_vpn);
+  lru_.Transfer(ar);
 }
 
 }  // namespace ice

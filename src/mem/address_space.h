@@ -22,8 +22,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 struct AddressSpaceLayout {
   PageCount java_pages = 0;
@@ -108,11 +107,10 @@ class AddressSpace {
 
   // Snapshot support: a raw dump of the page-metadata arena (PageInfo is
   // trivially copyable and holds no pointers — LRU links are vpn indices)
-  // plus residency counters and LRU/gen-clock heads. RestoreFrom requires a
+  // plus residency counters and LRU/gen-clock heads. Restoring requires a
   // structurally identical space (same layout, built by replaying process
   // creation) and overwrites its dynamic state.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
   // Per-address-space LRU lists: the memcg model. Android places each app in
   // its own memory cgroup, and kswapd applies reclaim pressure to every

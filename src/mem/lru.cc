@@ -69,38 +69,20 @@ uint32_t LruLists::IsolateCandidates(LruPool pool, uint32_t max, uint32_t scan_b
   return scanned;
 }
 
-void LruLists::SaveTo(BinaryWriter& w) const {
-  w.U8(static_cast<uint8_t>(aging_));
-  for (const IndexList& l : lists_) {
-    w.U32(l.head);
-    w.U32(l.tail);
-    w.U32(l.size);
-  }
-  for (const GenState& g : gen_) {
-    for (uint32_t c : g.counts) {
-      w.U32(c);
-    }
-    w.U32(g.linked);
-    w.U32(g.hand);
-    w.U8(g.clock);
-  }
-}
-
-void LruLists::RestoreFrom(BinaryReader& r) {
-  AgingPolicy aging = static_cast<AgingPolicy>(r.U8());
-  ICE_CHECK(aging == aging_) << "snapshot aging policy mismatch";
+void LruLists::Transfer(SnapshotArchive& ar) {
+  ar.Expect<uint8_t>(aging_, "aging policy");
   for (IndexList& l : lists_) {
-    l.head = r.U32();
-    l.tail = r.U32();
-    l.size = r.U32();
+    ar.U32(l.head);
+    ar.U32(l.tail);
+    ar.U32(l.size);
   }
   for (GenState& g : gen_) {
     for (uint32_t& c : g.counts) {
-      c = r.U32();
+      ar.U32(c);
     }
-    g.linked = r.U32();
-    g.hand = r.U32();
-    g.clock = r.U8();
+    ar.U32(g.linked);
+    ar.U32(g.hand);
+    ar.U8(g.clock);
   }
 }
 

@@ -37,8 +37,7 @@
 namespace ice {
 
 class AddressSpace;
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 enum class LruPool { kAnon, kFile };
 
@@ -154,8 +153,7 @@ class LruLists {
   // Snapshot support: list heads/tails/sizes and gen-clock hands/counters.
   // Per-page link state rides along with the owning arena's raw dump, so
   // restore assumes the arena bytes were restored first.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   // List header: head/tail arena indices plus a cached size. 12 bytes, so

@@ -408,57 +408,29 @@ void MemoryManager::MaybeWakeKswapd() {
   }
 }
 
-void MemoryManager::SaveTo(BinaryWriter& w) const {
+void MemoryManager::Transfer(SnapshotArchive& ar) {
   // Quiescent-point contract: no flash fault may be mid-flight (its I/O
   // completion closure would be lost) and no reclaim batch mid-run.
   ICE_CHECK_EQ(pending_faults_.size(), 0u) << "snapshot with faults in flight";
   ICE_CHECK(!in_reclaim_) << "snapshot during a reclaim batch";
-  w.U32(next_space_id_);
-  w.U64(reclaim_cursor_);
-  w.I64(free_pages_);
-  w.U64(zram_frames_held_);
-  w.U64(writeback_pending_);
-  w.I64(foreground_uid_);
-  w.U64(arena_bytes_live_);
-  w.U64(arena_bytes_peak_);
-  w.Bool(kswapd_woken_);
-  contention_rng_.SaveTo(w);
-  zram_.SaveTo(w);
-  shadow_.SaveTo(w);
-  w.Bool(has_zram_reject_);
-  w.U64(last_zram_reject_time_);
-  swap_gov_.SaveTo(w);
-  w.U64(spaces_.size());
-  for (const AddressSpace* space : spaces_) {
-    space->SaveTo(w);
-  }
-}
-
-void MemoryManager::RestoreFrom(BinaryReader& r) {
-  ICE_CHECK_EQ(pending_faults_.size(), 0u);
-  ICE_CHECK(!in_reclaim_);
-  uint32_t next_space_id = r.U32();
-  ICE_CHECK_EQ(next_space_id, next_space_id_)
-      << "structural replay diverged: space-id allocation differs";
-  reclaim_cursor_ = r.U64();
-  free_pages_ = r.I64();
-  zram_frames_held_ = r.U64();
-  writeback_pending_ = r.U64();
-  foreground_uid_ = static_cast<Uid>(r.I64());
-  arena_bytes_live_ = r.U64();
-  arena_bytes_peak_ = r.U64();
-  kswapd_woken_ = r.Bool();
-  contention_rng_.RestoreFrom(r);
-  zram_.RestoreFrom(r);
-  shadow_.RestoreFrom(r);
-  has_zram_reject_ = r.Bool();
-  last_zram_reject_time_ = r.U64();
-  swap_gov_.RestoreFrom(r);
-  uint64_t count = r.U64();
-  ICE_CHECK_EQ(count, spaces_.size())
-      << "structural replay diverged: registered space count differs";
+  ar.Expect<uint32_t>(next_space_id_, "space-id allocation");
+  ar.U64(reclaim_cursor_);
+  ar.I64(free_pages_);
+  ar.U64(zram_frames_held_);
+  ar.U64(writeback_pending_);
+  ar.I64(foreground_uid_);
+  ar.U64(arena_bytes_live_);
+  ar.U64(arena_bytes_peak_);
+  ar.Bool(kswapd_woken_);
+  contention_rng_.Transfer(ar);
+  zram_.Transfer(ar);
+  shadow_.Transfer(ar);
+  ar.Bool(has_zram_reject_);
+  ar.U64(last_zram_reject_time_);
+  swap_gov_.Transfer(ar);
+  ar.Expect<uint64_t>(spaces_.size(), "registered space count");
   for (AddressSpace* space : spaces_) {
-    space->RestoreFrom(r);
+    space->Transfer(ar);
   }
 }
 

@@ -31,8 +31,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 struct MemConfig {
   // Page aging policy applied to every registered address space (see
@@ -200,14 +199,13 @@ class MemoryManager {
   // Serializes every registered space (raw arena dumps + LRU state), the
   // zram store, shadow sequence, frame accounting, and the reclaim cursor.
   // Requires a quiescent point: no in-flight flash faults, no reclaim in
-  // progress (ICE_CHECKed). RestoreFrom expects `spaces_` to already hold
+  // progress (ICE_CHECKed). Restoring expects `spaces_` to already hold
   // structurally identical spaces in the same registration order (process
   // creation replay) and overwrites their dynamic state.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
   // Recycling support: rewinds the manager to its just-constructed state so a
-  // snapshot can be overlaid via RestoreFrom. Requires every address space to
+  // snapshot can be overlaid via Transfer. Requires every address space to
   // have been Released already (the recycler kills all apps first); keeps the
   // isolation scratch and waiter pool allocations.
   void ResetForRecycle();

@@ -32,14 +32,9 @@ RefaultEvent ShadowRegistry::RecordRefault(PageInfo* page, const AddressSpace& s
   return event;
 }
 
-void ShadowRegistry::SaveTo(BinaryWriter& w) const {
-  w.U64(eviction_seq_);
-  w.U64(refault_count_);
-}
-
-void ShadowRegistry::RestoreFrom(BinaryReader& r) {
-  eviction_seq_ = r.U64();
-  refault_count_ = r.U64();
+void ShadowRegistry::Transfer(SnapshotArchive& ar) {
+  ar.U64(eviction_seq_);
+  ar.U64(refault_count_);
 }
 
 void ShadowRegistry::AddListener(RefaultListener* listener) {

@@ -17,8 +17,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 struct RefaultEvent {
   SimTime time = 0;
@@ -67,8 +66,7 @@ class ShadowRegistry {
 
   // Snapshot support: the sequence counters only — shadow cookies live in
   // PageInfo records and listeners are re-registered structurally.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   uint64_t eviction_seq_ = 0;

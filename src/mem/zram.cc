@@ -32,16 +32,10 @@ bool Zram::StoreWithRatio(PageInfo* page, double mean_ratio, double ratio_sigma)
   return true;
 }
 
-void Zram::SaveTo(BinaryWriter& w) const {
-  rng_.SaveTo(w);
-  w.U64(stored_bytes_);
-  w.U64(stored_pages_);
-}
-
-void Zram::RestoreFrom(BinaryReader& r) {
-  rng_.RestoreFrom(r);
-  stored_bytes_ = r.U64();
-  stored_pages_ = r.U64();
+void Zram::Transfer(SnapshotArchive& ar) {
+  rng_.Transfer(ar);
+  ar.U64(stored_bytes_);
+  ar.U64(stored_pages_);
 }
 
 void Zram::Drop(PageInfo* page) {

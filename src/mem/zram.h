@@ -16,8 +16,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 struct ZramConfig {
   uint64_t capacity_bytes = 512 * kMiB;
@@ -61,8 +60,7 @@ class Zram {
 
   // Snapshot support: occupancy plus the compression-ratio RNG stream (the
   // per-page compressed sizes themselves live in PageInfo::zram_bytes).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   ZramConfig config_;

@@ -70,38 +70,6 @@ void PowerManagerScheme::PeriodicCheck() {
   }
 }
 
-void PowerManagerScheme::SaveTo(BinaryWriter& w) const {
-  ICE_CHECK(refs_.engine != nullptr);
-  // last_cpu_us_ is an unordered_map: serialize sorted by uid so identical
-  // states produce identical bytes.
-  std::vector<std::pair<Uid, uint64_t>> sorted(last_cpu_us_.begin(), last_cpu_us_.end());
-  std::sort(sorted.begin(), sorted.end());
-  w.U64(sorted.size());
-  for (const auto& [uid, cpu] : sorted) {
-    w.I64(uid);
-    w.U64(cpu);
-  }
-  auto check = refs_.engine->PendingEvent(check_event_);
-  ICE_CHECK(check.has_value()) << "power-manager check event is stale";
-  w.U64(check->first);
-  w.U64(check->second);
-  uint64_t live = 0;
-  for (const auto& [uid, id] : pending_thaws_) {
-    if (refs_.engine->PendingEvent(id).has_value()) {
-      ++live;
-    }
-  }
-  w.U64(live);
-  for (const auto& [uid, id] : pending_thaws_) {
-    auto info = refs_.engine->PendingEvent(id);
-    if (info.has_value()) {
-      w.I64(uid);
-      w.U64(info->first);
-      w.U64(info->second);
-    }
-  }
-}
-
 void PowerManagerScheme::BeginRestore() {
   ICE_CHECK(refs_.engine != nullptr);
   if (check_event_ != kInvalidEventId) {
@@ -114,27 +82,34 @@ void PowerManagerScheme::BeginRestore() {
   pending_thaws_.clear();
 }
 
-void PowerManagerScheme::RestoreFrom(BinaryReader& r) {
+void PowerManagerScheme::Transfer(SnapshotArchive& ar) {
   ICE_CHECK(refs_.engine != nullptr);
-  ICE_CHECK_EQ(check_event_, kInvalidEventId) << "BeginRestore must run first";
-  last_cpu_us_.clear();
-  uint64_t entries = r.U64();
-  for (uint64_t i = 0; i < entries; ++i) {
-    Uid uid = static_cast<Uid>(r.I64());
-    last_cpu_us_[uid] = r.U64();
+  // last_cpu_us_ is an unordered_map: it travels sorted by uid so identical
+  // states produce identical bytes.
+  std::vector<std::pair<Uid, uint64_t>> cpu(last_cpu_us_.begin(), last_cpu_us_.end());
+  std::sort(cpu.begin(), cpu.end());
+  ar.Sequence(cpu, 16, [&ar](std::pair<Uid, uint64_t>& entry) {
+    ar.I64(entry.first);
+    ar.U64(entry.second);
+  });
+  if (ar.loading()) {
+    last_cpu_us_ = {cpu.begin(), cpu.end()};
   }
-  SimTime check_when = r.U64();
-  uint64_t check_seq = r.U64();
-  check_event_ = refs_.engine->ScheduleAtWithSeq(check_when, check_seq,
-                                                 [this]() { PeriodicCheck(); });
-  uint64_t thaws = r.U64();
-  for (uint64_t i = 0; i < thaws; ++i) {
-    Uid uid = static_cast<Uid>(r.I64());
-    SimTime when = r.U64();
-    uint64_t seq = r.U64();
-    EventId id = refs_.engine->ScheduleAtWithSeq(when, seq,
-                                                 [this, uid]() { ThawIfStillCached(uid); });
-    pending_thaws_.emplace_back(uid, id);
+  refs_.engine->TransferEvent(ar, check_event_, [this]() { PeriodicCheck(); });
+  // Only thaws still pending travel; fired entries are pruned lazily.
+  std::vector<std::pair<Uid, EventId>> thaws;
+  for (const auto& entry : pending_thaws_) {
+    if (refs_.engine->PendingEvent(entry.second).has_value()) {
+      thaws.push_back(entry);
+    }
+  }
+  ar.Sequence(thaws, 24, [&](std::pair<Uid, EventId>& thaw) {
+    ar.I64(thaw.first);
+    refs_.engine->TransferEvent(ar, thaw.second,
+                                [this, uid = thaw.first]() { ThawIfStillCached(uid); });
+  });
+  if (ar.loading()) {
+    pending_thaws_ = std::move(thaws);
   }
 }
 

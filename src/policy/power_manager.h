@@ -37,9 +37,8 @@ class PowerManagerScheme : public Scheme {
 
   // Snapshot support: the periodic check and each scheduled fixed-duration
   // thaw are pending events, saved as (uid, deadline, seq) and re-armed.
-  void SaveTo(BinaryWriter& w) const override;
   void BeginRestore() override;
-  void RestoreFrom(BinaryReader& r) override;
+  void Transfer(SnapshotArchive& ar) override;
 
  private:
   void PeriodicCheck();

@@ -19,8 +19,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 struct SystemRefs {
   Engine* engine = nullptr;
@@ -44,12 +43,12 @@ class Scheme {
   // ---- Snapshot support -----------------------------------------------------
   // Stateless schemes (LRU+CFS, UCSG, Acclaim keep all their state in tasks
   // and hooks) use these defaults. Schemes with timers or learned state (Ice,
-  // PowerMgr) override all three: BeginRestore cancels any events Install
-  // armed — the engine clock can only be restored onto an empty wheel — and
-  // RestoreFrom re-arms them with the snapshot's event sequence numbers.
-  virtual void SaveTo(BinaryWriter& w) const { (void)w; }
+  // PowerMgr) override both: BeginRestore cancels any events Install armed —
+  // the engine clock can only be restored onto an empty wheel — and Transfer,
+  // one call for both save and restore, re-arms them on restore with the
+  // snapshot's event sequence numbers (Engine::TransferEvent).
   virtual void BeginRestore() {}
-  virtual void RestoreFrom(BinaryReader& r) { (void)r; }
+  virtual void Transfer(SnapshotArchive& ar) { (void)ar; }
 };
 
 // LRU + CFS: the stock Linux baseline. Installs nothing.

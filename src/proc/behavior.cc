@@ -103,14 +103,9 @@ void WorkQueueBehavior::Run(TaskContext& ctx) {
   }
 }
 
-void WorkQueueBehavior::SaveTo(BinaryWriter& w) const {
+void WorkQueueBehavior::Transfer(SnapshotArchive& ar) {
   ICE_CHECK(queue_.empty()) << "snapshot with queued work";
-  w.U64(completed_);
-}
-
-void WorkQueueBehavior::RestoreFrom(BinaryReader& r) {
-  ICE_CHECK(queue_.empty());
-  completed_ = r.U64();
+  ar.U64(completed_);
 }
 
 // ---- KswapdBehavior ----------------------------------------------------------
@@ -176,16 +171,10 @@ void PeriodicLoadBehavior::Run(TaskContext& ctx) {
   }
 }
 
-void PeriodicLoadBehavior::SaveTo(BinaryWriter& w) const {
-  w.U64(remaining_compute_);
-  w.U32(remaining_touches_);
-  w.Bool(started_);
-}
-
-void PeriodicLoadBehavior::RestoreFrom(BinaryReader& r) {
-  remaining_compute_ = r.U64();
-  remaining_touches_ = r.U32();
-  started_ = r.Bool();
+void PeriodicLoadBehavior::Transfer(SnapshotArchive& ar) {
+  ar.U64(remaining_compute_);
+  ar.U32(remaining_touches_);
+  ar.Bool(started_);
 }
 
 }  // namespace ice

@@ -23,8 +23,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 class Task;
 class Scheduler;
 
@@ -77,12 +76,12 @@ class Behavior {
 
   // ---- Snapshot support -----------------------------------------------------
   // A behavior is quiescent when its internal progress is fully expressible
-  // through SaveTo — e.g. no queued WorkItems whose closures a snapshot cannot
-  // carry. Snapshots are only taken when every live task's behavior reports
-  // quiescence.
+  // through Transfer — e.g. no queued WorkItems whose closures a snapshot
+  // cannot carry. Snapshots are only taken when every live task's behavior
+  // reports quiescence. Task::Transfer dispatches here, one call for both
+  // save and restore.
   virtual bool Quiescent() const { return true; }
-  virtual void SaveTo(BinaryWriter& w) const { (void)w; }
-  virtual void RestoreFrom(BinaryReader& r) { (void)r; }
+  virtual void Transfer(SnapshotArchive& ar) { (void)ar; }
 };
 
 // A unit of deferred work: CPU time plus a set of page touches, with an
@@ -120,8 +119,7 @@ class WorkQueueBehavior : public Behavior {
 
   // Queued WorkItems carry completion closures a snapshot cannot carry.
   bool Quiescent() const override { return queue_.empty(); }
-  void SaveTo(BinaryWriter& w) const override;
-  void RestoreFrom(BinaryReader& r) override;
+  void Transfer(SnapshotArchive& ar) override;
 
  private:
   Task* task_ = nullptr;
@@ -154,8 +152,7 @@ class PeriodicLoadBehavior : public Behavior {
 
   void Run(TaskContext& ctx) override;
 
-  void SaveTo(BinaryWriter& w) const override;
-  void RestoreFrom(BinaryReader& r) override;
+  void Transfer(SnapshotArchive& ar) override;
 
  private:
   Params params_;

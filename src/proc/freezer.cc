@@ -38,14 +38,9 @@ void Freezer::ThawApp(App& app) {
   }
 }
 
-void Freezer::SaveTo(BinaryWriter& w) const {
-  w.U64(freeze_count_);
-  w.U64(thaw_count_);
-}
-
-void Freezer::RestoreFrom(BinaryReader& r) {
-  freeze_count_ = r.U64();
-  thaw_count_ = r.U64();
+void Freezer::Transfer(SnapshotArchive& ar) {
+  ar.U64(freeze_count_);
+  ar.U64(thaw_count_);
 }
 
 }  // namespace ice

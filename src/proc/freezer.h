@@ -11,8 +11,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class Freezer {
  public:
@@ -30,8 +29,7 @@ class Freezer {
   uint64_t thaw_count() const { return thaw_count_; }
 
   // Snapshot support (counters only; per-task freeze state lives in Task).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   Engine& engine_;

@@ -68,22 +68,13 @@ bool Lmk::KillOne() {
   return true;
 }
 
-void Lmk::SaveTo(BinaryWriter& w) const {
-  w.U64(last_refaults_);
-  w.F64(refault_rate_ewma_);
-  w.U64(last_kill_time_);
-  w.Bool(ever_killed_);
-  w.U64(kills_);
-  w.U64(next_check_);
-}
-
-void Lmk::RestoreFrom(BinaryReader& r) {
-  last_refaults_ = r.U64();
-  refault_rate_ewma_ = r.F64();
-  last_kill_time_ = r.U64();
-  ever_killed_ = r.Bool();
-  kills_ = r.U64();
-  next_check_ = r.U64();
+void Lmk::Transfer(SnapshotArchive& ar) {
+  ar.U64(last_refaults_);
+  ar.F64(refault_rate_ewma_);
+  ar.U64(last_kill_time_);
+  ar.Bool(ever_killed_);
+  ar.U64(kills_);
+  ar.U64(next_check_);
 }
 
 }  // namespace ice

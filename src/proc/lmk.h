@@ -16,8 +16,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class Lmk : public Ticker {
  public:
@@ -53,8 +52,7 @@ class Lmk : public Ticker {
   double psi_refault_rate() const { return refault_rate_ewma_; }
 
   // Snapshot support (thresholds are reconfigured by the harness, not saved).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   bool KillOne();

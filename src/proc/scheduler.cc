@@ -1,6 +1,7 @@
 #include "src/proc/scheduler.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -113,79 +114,60 @@ void Scheduler::OnTicksSkipped(SimTime first_skipped, uint64_t count) {
   }
 }
 
-void Scheduler::SaveTo(BinaryWriter& w) const {
-  w.U64(busy_us_);
-  w.U64(capacity_us_);
-  w.U64(second_busy_us_);
-  w.U64(second_capacity_us_);
-  w.U64(next_second_boundary_);
-  w.U64(min_vruntime_us_);
-  w.U64(task_seq_);
-  w.U64(per_second_.size());
-  for (double v : per_second_) {
-    w.F64(v);
+void Scheduler::Transfer(SnapshotArchive& ar) {
+  ar.U64(busy_us_);
+  ar.U64(capacity_us_);
+  ar.U64(second_busy_us_);
+  ar.U64(second_capacity_us_);
+  ar.U64(next_second_boundary_);
+  ar.U64(min_vruntime_us_);
+  ar.Expect<uint64_t>(task_seq_, "task count");
+  ar.Sequence(per_second_, 8, [&ar](double& v) { ar.F64(v); });
+  ar.Expect<uint64_t>(tasks_.size(), "task population");
+  if (ar.loading()) {
+    // Empty the run queue before tasks set their states directly; membership
+    // is rebuilt below in the serialized order.
+    run_queue_.Clear();
   }
-  w.U64(tasks_.size());
-  for (const auto& t : tasks_) {
-    t->SaveTo(w);
+  for (auto& t : tasks_) {
+    t->Transfer(ar);
   }
+  // Tasks travel as trace ids (0 = none).
+  auto task_ref = [&](auto*& t) {
+    uint64_t id = t != nullptr ? t->trace_id() : 0;
+    ar.U64(id);
+    if (ar.loading()) {
+      if (id > tasks_.size()) {
+        SnapshotArchive::Fail("task trace id " + std::to_string(id) + " out of range");
+      }
+      t = id == 0 ? nullptr : tasks_[id - 1].get();
+    }
+  };
   // Run-queue ORDER matters: Tick's std::partial_sort is unstable, so the
   // queue ordering at the snapshot point is part of the deterministic state.
-  w.U64(run_queue_.size());
-  for (const Task* t : const_cast<IntrusiveList<Task, RunQueueTag>&>(run_queue_)) {
-    w.U64(t->trace_id());
+  std::vector<Task*> queued;
+  if (!ar.loading()) {
+    for (Task* t : run_queue_) {
+      queued.push_back(t);
+    }
   }
-  w.U64(core_last_.size());
-  for (const Task* t : core_last_) {
-    w.U64(t != nullptr ? t->trace_id() : 0);
+  ar.Sequence(queued, 8, task_ref);
+  if (ar.loading()) {
+    for (Task* t : queued) {
+      if (t == nullptr || t->state() != TaskState::kRunnable ||
+          static_cast<ListNode<RunQueueTag>*>(t)->linked()) {
+        SnapshotArchive::Fail("run queue holds a task that is not runnable");
+      }
+      run_queue_.PushBack(t);
+    }
   }
-}
-
-void Scheduler::RestoreFrom(BinaryReader& r) {
-  busy_us_ = r.U64();
-  capacity_us_ = r.U64();
-  second_busy_us_ = r.U64();
-  second_capacity_us_ = r.U64();
-  next_second_boundary_ = r.U64();
-  min_vruntime_us_ = r.U64();
-  uint64_t task_seq = r.U64();
-  ICE_CHECK_EQ(task_seq, task_seq_) << "structural replay diverged (task count)";
-  per_second_.clear();
-  uint64_t samples = r.U64();
-  per_second_.reserve(samples);
-  for (uint64_t i = 0; i < samples; ++i) {
-    per_second_.push_back(r.F64());
-  }
-  uint64_t task_count = r.U64();
-  ICE_CHECK_EQ(task_count, tasks_.size()) << "structural replay diverged (tasks)";
-  // Empty the run queue before tasks set their states directly; membership is
-  // rebuilt below in the serialized order.
-  run_queue_.Clear();
-  for (auto& t : tasks_) {
-    t->RestoreFrom(r);
-  }
-  uint64_t queued = r.U64();
-  for (uint64_t i = 0; i < queued; ++i) {
-    uint64_t trace_id = r.U64();
-    ICE_CHECK_GE(trace_id, 1u);
-    ICE_CHECK_LE(trace_id, tasks_.size());
-    Task* t = tasks_[trace_id - 1].get();
-    ICE_CHECK(t->state() == TaskState::kRunnable);
-    run_queue_.PushBack(t);
-  }
-  core_last_.clear();
-  uint64_t cores = r.U64();
-  for (uint64_t i = 0; i < cores; ++i) {
-    uint64_t trace_id = r.U64();
-    ICE_CHECK_LE(trace_id, tasks_.size());
-    core_last_.push_back(trace_id == 0 ? nullptr : tasks_[trace_id - 1].get());
-  }
+  ar.Sequence(core_last_, 8, task_ref);
 }
 
 void Scheduler::ResetForRecycle(size_t boot_task_count) {
   ICE_CHECK_LE(boot_task_count, tasks_.size());
   // Unlink everything first; ListNode asserts unlinked at destruction, and
-  // RestoreFrom rebuilds membership from the serialized order anyway.
+  // Transfer rebuilds membership from the serialized order anyway.
   run_queue_.Clear();
   for (size_t i = boot_task_count; i < tasks_.size(); ++i) {
     ICE_CHECK(tasks_[i]->state() == TaskState::kDead)

@@ -24,8 +24,7 @@
 namespace ice {
 
 class Behavior;
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class Scheduler : public Ticker {
  public:
@@ -79,20 +78,19 @@ class Scheduler : public Ticker {
   size_t task_count() const { return tasks_.size(); }
 
   // ---- Snapshot support -----------------------------------------------------
-  // Serializes CPU accounting, every task's dynamic state (tasks_ order), the
+  // Transfers CPU accounting, every task's dynamic state (tasks_ order), the
   // run-queue order as trace ids (std::partial_sort in Tick is unstable, so
   // queue order is part of the deterministic state), and per-core occupancy.
-  // RestoreFrom expects the structural replay to have recreated the identical
+  // Restoring expects the structural replay to have recreated the identical
   // task population (task_seq_ and tasks_.size() are checked).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
   // Recycling support: destroys every task created after the boot prefix
   // (app tasks — all already dead; the usual mid-simulation graveyard rule
   // does not apply because nothing is running) and rewinds the task-id
-  // sequence, so a post-boot snapshot can be overlaid via RestoreFrom. The
+  // sequence, so a post-boot snapshot can be overlaid via Transfer. The
   // engine's event wheel must already be cleared: destroyed tasks may hold
-  // stale timer handles, and RestoreFrom's CancelTimer relies on those ids
+  // stale timer handles, and Task::Transfer's CancelTimer relies on those ids
   // resolving to nothing.
   void ResetForRecycle(size_t boot_task_count);
 

@@ -1,6 +1,5 @@
 #include "src/proc/task.h"
 
-#include <optional>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -128,13 +127,17 @@ void Task::SleepFor(SimDuration delay) {
   }
   EnterState(TaskState::kSleeping);
   uint64_t generation = ++timer_generation_;
-  timer_event_ = scheduler_.engine().ScheduleAfter(delay, [this, generation]() {
+  timer_event_ = scheduler_.engine().ScheduleAfter(delay, TimerFn(generation));
+}
+
+EventFn Task::TimerFn(uint64_t generation) {
+  return [this, generation]() {
     if (generation != timer_generation_) {
       return;  // Timer superseded.
     }
     timer_event_ = kInvalidEventId;
     Wake();
-  });
+  };
 }
 
 void Task::BlockOnIo() {
@@ -189,59 +192,30 @@ void Task::ThawNow() {
   EnterState(TaskState::kRunnable);
 }
 
-void Task::SaveTo(BinaryWriter& w) const {
-  ICE_CHECK(!on_cpu_) << name_;
-  w.U8(static_cast<uint8_t>(state_));
-  w.Bool(freeze_pending_);
-  w.Bool(wake_pending_);
-  w.U64(vruntime_us_);
-  w.U64(debt_us_);
-  w.U64(cpu_time_us_);
-  w.I64(nice_);
-  w.U64(trace_id_);
-  w.U64(timer_generation_);
-  bool has_timer = timer_event_ != kInvalidEventId;
-  std::optional<std::pair<SimTime, uint64_t>> pending;
-  if (has_timer) {
-    pending = scheduler_.engine().PendingEvent(timer_event_);
-    ICE_CHECK(pending.has_value()) << name_ << ": stale timer EventId";
+void Task::Transfer(SnapshotArchive& ar) {
+  if (!ar.loading()) {
+    ICE_CHECK(!on_cpu_) << name_;
   }
-  w.Bool(has_timer);
-  if (has_timer) {
-    w.U64(pending->first);
-    w.U64(pending->second);
+  // The scheduler has already emptied its run queue on restore; state_ is set
+  // directly and membership is rebuilt from the serialized queue order.
+  ar.U8(state_);
+  ar.Bool(freeze_pending_);
+  ar.Bool(wake_pending_);
+  ar.U64(vruntime_us_);
+  ar.U64(debt_us_);
+  ar.U64(cpu_time_us_);
+  int nice = nice_;
+  ar.I64(nice);
+  if (ar.loading()) {
+    set_nice(nice);
   }
-  behavior_->SaveTo(w);
-}
-
-void Task::RestoreFrom(BinaryReader& r) {
-  // The scheduler has already emptied its run queue; state_ is set directly
-  // and membership is rebuilt from the serialized queue order afterwards.
-  state_ = static_cast<TaskState>(r.U8());
-  freeze_pending_ = r.Bool();
-  wake_pending_ = r.Bool();
-  vruntime_us_ = r.U64();
-  debt_us_ = r.U64();
-  cpu_time_us_ = r.U64();
-  set_nice(static_cast<int>(r.I64()));
-  uint64_t trace_id = r.U64();
-  ICE_CHECK_EQ(trace_id, trace_id_) << name_ << ": structural replay diverged";
-  uint64_t saved_generation = r.U64();
-  CancelTimer();  // Drop any construction-time timer (bumps the generation).
-  timer_generation_ = saved_generation;
-  if (r.Bool()) {
-    SimTime when = r.U64();
-    uint64_t seq = r.U64();
-    uint64_t generation = timer_generation_;
-    timer_event_ = scheduler_.engine().ScheduleAtWithSeq(when, seq, [this, generation]() {
-      if (generation != timer_generation_) {
-        return;  // Timer superseded.
-      }
-      timer_event_ = kInvalidEventId;
-      Wake();
-    });
+  ar.Expect<uint64_t>(trace_id_, "task trace id");
+  if (ar.loading()) {
+    CancelTimer();  // Drop any construction-time timer (bumps the generation).
   }
-  behavior_->RestoreFrom(r);
+  ar.U64(timer_generation_);
+  scheduler_.engine().TransferOptionalEvent(ar, timer_event_, TimerFn(timer_generation_));
+  behavior_->Transfer(ar);
 }
 
 void Task::MarkDead() {

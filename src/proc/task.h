@@ -24,8 +24,7 @@
 namespace ice {
 
 class Behavior;
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 class Process;
 class Scheduler;
 
@@ -111,13 +110,12 @@ class Task : public ListNode<RunQueueTag> {
   // ---- Scheduler internals --------------------------------------------------
 
   // ---- Snapshot support -----------------------------------------------------
-  // Serializes dynamic state (scheduling accounting, freezer flags, pending
+  // Transfers dynamic state (scheduling accounting, freezer flags, pending
   // sleep timer as (deadline, seq), and the behavior's progress). Restore sets
   // state_ directly — the scheduler rebuilds run-queue membership afterwards
   // in its own serialized order — and re-arms the sleep timer with the saved
   // event sequence number so wheel dispatch order is bit-identical.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
   void AddVruntime(SimDuration used_us) {
     vruntime_us_ += used_us * 1024 / static_cast<uint64_t>(weight_);
@@ -131,6 +129,9 @@ class Task : public ListNode<RunQueueTag> {
 
  private:
   void CancelTimer();
+  // The sleep-timer callback armed under `generation`; a stale generation
+  // (the timer was cancelled or superseded) makes it a no-op.
+  EventFn TimerFn(uint64_t generation);
   void EnterState(TaskState next);
 
   Scheduler& scheduler_;

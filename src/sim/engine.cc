@@ -1,6 +1,8 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -28,31 +30,53 @@ EventId Engine::ScheduleAfter(SimDuration delay, EventFn fn) {
 
 bool Engine::Cancel(EventId id) { return events_.Cancel(id); }
 
-EventId Engine::ScheduleAtWithSeq(SimTime when, uint64_t seq, EventFn fn) {
-  ICE_CHECK_GE(when, now_) << "scheduling into the past";
-  return events_.ScheduleWithSeq(when, seq, std::move(fn));
+void Engine::TransferEvent(SnapshotArchive& ar, EventId& id, EventFn fn) {
+  SimTime when = 0;
+  uint64_t seq = 0;
+  if (!ar.loading()) {
+    auto pending = events_.Pending(id);
+    ICE_CHECK(pending.has_value()) << "snapshot of a stale event handle";
+    std::tie(when, seq) = *pending;
+  }
+  ar.U64(when);
+  ar.U64(seq);
+  if (ar.loading()) {
+    ICE_CHECK_EQ(id, kInvalidEventId) << "re-arming over a live event";
+    if (when < now_) {
+      SnapshotArchive::Fail("event deadline " + std::to_string(when) +
+                            " precedes the restored clock " + std::to_string(now_));
+    }
+    id = events_.ScheduleWithSeq(when, seq, std::move(fn));
+  }
 }
 
-void Engine::SaveTo(BinaryWriter& w) const {
-  w.U64(now_);
-  w.U64(ticks_);
-  w.U64(ticks_skipped_);
-  w.U64(events_.next_seq());
-  rng_.SaveTo(w);
-  noise_rng_.SaveTo(w);
-  stats_.SaveTo(w);
+void Engine::TransferOptionalEvent(SnapshotArchive& ar, EventId& id, EventFn fn) {
+  if (ar.loading()) {
+    ICE_CHECK_EQ(id, kInvalidEventId) << "re-arming over a live event";
+  }
+  bool armed = id != kInvalidEventId;
+  ar.Bool(armed);
+  if (armed) {
+    TransferEvent(ar, id, std::move(fn));
+  }
 }
 
-void Engine::RestoreFrom(BinaryReader& r) {
-  ICE_CHECK(events_.empty()) << "engine restore with timers still scheduled";
-  now_ = r.U64();
-  ticks_ = r.U64();
-  ticks_skipped_ = r.U64();
-  events_.set_next_seq(r.U64());
-  events_.RestoreClock(now_);
-  rng_.RestoreFrom(r);
-  noise_rng_.RestoreFrom(r);
-  stats_.RestoreFrom(r);
+void Engine::Transfer(SnapshotArchive& ar) {
+  if (ar.loading()) {
+    ICE_CHECK(events_.empty()) << "engine restore with timers still scheduled";
+  }
+  ar.U64(now_);
+  ar.U64(ticks_);
+  ar.U64(ticks_skipped_);
+  uint64_t next_seq = events_.next_seq();
+  ar.U64(next_seq);
+  if (ar.loading()) {
+    events_.set_next_seq(next_seq);
+    events_.RestoreClock(now_);
+  }
+  rng_.Transfer(ar);
+  noise_rng_.Transfer(ar);
+  stats_.Transfer(ar);
 }
 
 void Engine::ResetForRecycle() {

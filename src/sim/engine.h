@@ -27,8 +27,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 class Tracer;
 
 // Sentinel NextWorkAt() result: this ticker has no self-initiated work at any
@@ -94,11 +93,8 @@ class Engine {
   bool Cancel(EventId id);
 
   // ---- Snapshot/restore -----------------------------------------------------
-  // Components re-arm their own timers on restore: they serialize each
-  // pending event's (when, seq) via PendingEvent() and re-create it with
-  // ScheduleAtWithSeq(), which reproduces the original firing order without
-  // the wheel ever serializing callables.
-  EventId ScheduleAtWithSeq(SimTime when, uint64_t seq, EventFn fn);
+  // The (deadline, seq) of a still-pending event; nullopt once it fired or
+  // was cancelled.
   std::optional<std::pair<SimTime, uint64_t>> PendingEvent(EventId id) const {
     return events_.Pending(id);
   }
@@ -106,14 +102,23 @@ class Engine {
   // owned (and re-armed on restore) by some component's serialization.
   size_t pending_events() const { return events_.size(); }
 
+  // Components re-arm their own timers: this transfers the pending event
+  // `id` as (deadline, seq), and restoring arms `fn` at that deadline under
+  // the saved sequence number — the original firing order, without the
+  // wheel ever serializing callables. The new handle goes to `id`, which
+  // must be kInvalidEventId until then.
+  void TransferEvent(SnapshotArchive& ar, EventId& id, EventFn fn);
+  // Same for an event that may be absent (`id` == kInvalidEventId): a
+  // presence flag precedes the (deadline, seq) pair.
+  void TransferOptionalEvent(SnapshotArchive& ar, EventId& id, EventFn fn);
+
   // Clock, tick counters, event-sequence cursor, RNGs, and stats registry.
-  // RestoreFrom requires the event queue to be empty (timers are re-armed by
+  // Restoring requires the event queue to be empty (timers are re-armed by
   // their owners afterwards) and repositions the wheel cursor to now().
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
   // Recycling support: drop every pending event (keeping the wheel's node
-  // pool) and rewind the clock so a subsequent RestoreFrom can overlay a
+  // pool) and rewind the clock so a subsequent restore can overlay a
   // snapshot onto this live engine. Registered tickers are kept — the
   // components that own them persist across a recycle.
   void ResetForRecycle();

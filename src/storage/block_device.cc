@@ -94,36 +94,20 @@ void BlockDevice::Complete(Bio bio, SimTime submitted, uint64_t id) {
   MaybeStart();
 }
 
-void BlockDevice::SaveTo(BinaryWriter& w) const {
+void BlockDevice::Transfer(SnapshotArchive& ar) {
   ICE_CHECK(queue_.empty()) << "snapshot with queued I/O";
   ICE_CHECK_EQ(inflight_, 0) << "snapshot with in-flight I/O";
-  rng_.SaveTo(w);
-  w.U64(bio_seq_);
-  w.Bool(fg_priority_);
-  w.U64(pages_read_);
-  w.U64(pages_written_);
-  w.U64(requests_completed_);
-  w.U64(total_latency_us_);
-  w.U64(fg_requests_);
-  w.U64(bg_requests_);
-  w.U64(fg_latency_us_);
-  w.U64(bg_latency_us_);
-}
-
-void BlockDevice::RestoreFrom(BinaryReader& r) {
-  ICE_CHECK(queue_.empty());
-  ICE_CHECK_EQ(inflight_, 0);
-  rng_.RestoreFrom(r);
-  bio_seq_ = r.U64();
-  fg_priority_ = r.Bool();
-  pages_read_ = r.U64();
-  pages_written_ = r.U64();
-  requests_completed_ = r.U64();
-  total_latency_us_ = r.U64();
-  fg_requests_ = r.U64();
-  bg_requests_ = r.U64();
-  fg_latency_us_ = r.U64();
-  bg_latency_us_ = r.U64();
+  rng_.Transfer(ar);
+  ar.U64(bio_seq_);
+  ar.Bool(fg_priority_);
+  ar.U64(pages_read_);
+  ar.U64(pages_written_);
+  ar.U64(requests_completed_);
+  ar.U64(total_latency_us_);
+  ar.U64(fg_requests_);
+  ar.U64(bg_requests_);
+  ar.U64(fg_latency_us_);
+  ar.U64(bg_latency_us_);
 }
 
 double BlockDevice::mean_latency_us() const {

@@ -18,8 +18,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 struct FlashProfile {
   std::string name;
@@ -71,12 +70,11 @@ class BlockDevice {
 
   // Snapshot support. A quiescent point requires an idle device — queued or
   // in-flight commands carry completion closures the snapshot cannot carry —
-  // so SaveTo ICE_CHECKs emptiness and serializes only counters + RNG.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  // so Transfer ICE_CHECKs emptiness and carries only counters + RNG.
+  void Transfer(SnapshotArchive& ar);
 
   // Recycling support: drop queued commands and forget in-flight ones (their
-  // completion events died with the engine's wheel) so RestoreFrom's idle
+  // completion events died with the engine's wheel) so Transfer's idle
   // checks hold on a reused device.
   void ResetForRecycle() {
     queue_.clear();

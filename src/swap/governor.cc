@@ -4,21 +4,9 @@
 
 namespace ice {
 
-void SwapGovernor::SaveTo(BinaryWriter& w) const {
-  w.U64(writeback_fifo_.size());
-  for (uint64_t handle : writeback_fifo_) {
-    w.U64(handle);
-  }
-  compressed_bytes_.SaveTo(w);
-}
-
-void SwapGovernor::RestoreFrom(BinaryReader& r) {
-  writeback_fifo_.clear();
-  const uint64_t n = r.U64();
-  for (uint64_t i = 0; i < n; ++i) {
-    writeback_fifo_.push_back(r.U64());
-  }
-  compressed_bytes_.RestoreFrom(r);
+void SwapGovernor::Transfer(SnapshotArchive& ar) {
+  ar.Sequence(writeback_fifo_, 8, [&ar](uint64_t& handle) { ar.U64(handle); });
+  compressed_bytes_.Transfer(ar);
 }
 
 }  // namespace ice

@@ -25,8 +25,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class SwapGovernor {
  public:
@@ -107,8 +106,7 @@ class SwapGovernor {
 
   const MergeHistogram& compressed_bytes() const { return compressed_bytes_; }
 
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   SwapConfig config_;

@@ -11,8 +11,7 @@
 
 namespace ice {
 
-class BinaryReader;
-class BinaryWriter;
+class SnapshotArchive;
 
 class TraceRingBuffer {
  public:
@@ -53,8 +52,7 @@ class TraceRingBuffer {
 
   // Snapshot support (raw dump; TraceEvent is a fixed-size POD). Restore
   // requires an identically-sized buffer (same trace config).
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   std::vector<TraceEvent> buf_;

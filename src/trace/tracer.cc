@@ -11,48 +11,30 @@ namespace ice {
 static_assert(std::is_trivially_copyable_v<TraceEvent>,
               "TraceEvent must stay raw-dumpable for snapshots");
 
-void TraceRingBuffer::SaveTo(BinaryWriter& w) const {
-  w.U64(buf_.size());
-  w.U64(head_);
-  w.U64(size_);
-  w.U64(dropped_);
-  w.Bytes(buf_.data(), buf_.size() * sizeof(TraceEvent));
-}
-
-void TraceRingBuffer::RestoreFrom(BinaryReader& r) {
-  uint64_t capacity = r.U64();
-  ICE_CHECK_EQ(capacity, buf_.size()) << "trace buffer size mismatch";
-  head_ = r.U64();
-  size_ = r.U64();
-  dropped_ = r.U64();
-  r.Bytes(buf_.data(), buf_.size() * sizeof(TraceEvent));
-}
-
-void Tracer::SaveTo(BinaryWriter& w) const {
-  ring_.SaveTo(w);
-  w.U64(emitted_);
-  for (uint64_t c : counts_) {
-    w.U64(c);
+void TraceRingBuffer::Transfer(SnapshotArchive& ar) {
+  ar.Expect<uint64_t>(buf_.size(), "trace ring capacity");
+  ar.U64(head_);
+  ar.U64(size_);
+  ar.U64(dropped_);
+  if (head_ >= buf_.size() || size_ > buf_.size()) {
+    SnapshotArchive::Fail("trace ring cursor out of range");
   }
-  w.U64(task_names_.size());
-  for (const auto& [id, name] : task_names_) {
-    w.U64(id);
-    w.Str(name);
-  }
+  ar.Bytes(buf_.data(), buf_.size() * sizeof(TraceEvent));
 }
 
-void Tracer::RestoreFrom(BinaryReader& r) {
-  ring_.RestoreFrom(r);
-  emitted_ = r.U64();
+void Tracer::Transfer(SnapshotArchive& ar) {
+  ring_.Transfer(ar);
+  ar.U64(emitted_);
   for (uint64_t& c : counts_) {
-    c = r.U64();
+    ar.U64(c);
   }
-  task_names_.clear();
-  uint64_t names = r.U64();
-  for (uint64_t i = 0; i < names; ++i) {
-    uint64_t id = r.U64();
-    task_names_[id] = r.Str();
+  if (ar.loading()) {
+    task_names_.clear();
   }
+  ar.Entries(task_names_, 16, [&ar](uint64_t& id, std::string& name) {
+    ar.U64(id);
+    ar.Str(name);
+  });
 }
 
 const char* TraceEventTypeName(TraceEventType type) {

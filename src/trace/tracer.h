@@ -68,8 +68,7 @@ class Tracer {
 
   // Snapshot support. The ring content, totals and task-name table are all
   // part of the deterministic state a restored run must reproduce.
-  void SaveTo(BinaryWriter& w) const;
-  void RestoreFrom(BinaryReader& r);
+  void Transfer(SnapshotArchive& ar);
 
  private:
   TraceRingBuffer ring_;

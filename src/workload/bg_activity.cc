@@ -65,18 +65,11 @@ void PeriodicTouchBehavior::Run(TaskContext& ctx) {
   }
 }
 
-void PeriodicTouchBehavior::SaveTo(BinaryWriter& w) const {
-  w.Bool(started_);
-  w.U32(remaining_touches_);
-  w.U64(remaining_cpu_);
-  w.Bool(burst_open_);
-}
-
-void PeriodicTouchBehavior::RestoreFrom(BinaryReader& r) {
-  started_ = r.Bool();
-  remaining_touches_ = r.U32();
-  remaining_cpu_ = static_cast<SimDuration>(r.U64());
-  burst_open_ = r.Bool();
+void PeriodicTouchBehavior::Transfer(SnapshotArchive& ar) {
+  ar.Bool(started_);
+  ar.U32(remaining_touches_);
+  ar.U64(remaining_cpu_);
+  ar.Bool(burst_open_);
 }
 
 void AttachBgActivity(ActivityManager& am, App& app, const BgActivityParams& params,

@@ -44,8 +44,7 @@ class PeriodicTouchBehavior : public Behavior {
   // Burst progress is plain counters (no closures), so a mid-burst task can
   // be snapshotted; the params are structural (rebuilt by the bg-task
   // factory during lifecycle replay).
-  void SaveTo(BinaryWriter& w) const override;
-  void RestoreFrom(BinaryReader& r) override;
+  void Transfer(SnapshotArchive& ar) override;
 
  private:
   struct Sample {

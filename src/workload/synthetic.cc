@@ -9,9 +9,7 @@
 
 namespace ice {
 
-void FillOnceBehavior::SaveTo(BinaryWriter& w) const { w.U32(cursor_); }
-
-void FillOnceBehavior::RestoreFrom(BinaryReader& r) { cursor_ = r.U32(); }
+void FillOnceBehavior::Transfer(SnapshotArchive& ar) { ar.U32(cursor_); }
 
 void FillOnceBehavior::Run(TaskContext& ctx) {
   while (!ctx.ShouldStop()) {

@@ -21,8 +21,7 @@ class FillOnceBehavior : public Behavior {
 
   bool done() const { return cursor_ >= end_; }
 
-  void SaveTo(BinaryWriter& w) const override;
-  void RestoreFrom(BinaryReader& r) override;
+  void Transfer(SnapshotArchive& ar) override;
 
  private:
   AddressSpace* space_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -139,6 +141,88 @@ TEST(BinaryStreamTest, SectionOverreadDetected) {
   // Reading past the section boundary must throw even though the outer
   // stream has bytes left.
   EXPECT_THROW(r.U64(), std::runtime_error);
+}
+
+// ---- SnapshotArchive -----------------------------------------------------
+
+enum class Color : uint8_t { kRed, kBlue };
+
+// One layout, written once, drives both directions.
+struct Sample {
+  Color color = Color::kRed;
+  int delta = 0;
+  double ratio = 0.0;
+  std::string name;
+  std::deque<uint64_t> fifo;
+  std::map<int, std::string> names;
+
+  void Transfer(SnapshotArchive& ar) {
+    ar.Expect<uint32_t>(42, "layout tag");
+    ar.U8(color);
+    ar.I64(delta);
+    ar.F64(ratio);
+    ar.Str(name);
+    ar.Sequence(fifo, 8, [&ar](uint64_t& v) { ar.U64(v); });
+    ar.Entries(names, 16, [&ar](int& key, std::string& value) {
+      ar.I64(key);
+      ar.Str(value);
+    });
+  }
+};
+
+std::vector<uint8_t> SaveInSection(Sample& sample) {
+  BinaryWriter w;
+  SnapshotArchive ar(w);
+  ar.BeginSection(5);
+  sample.Transfer(ar);
+  ar.EndSection();
+  return w.Finish();
+}
+
+TEST(SnapshotArchiveTest, TransferRoundTrips) {
+  Sample want{Color::kBlue, -7, 0.25, "zram", {3, 1, 2}, {{1, "a"}, {9, "b"}}};
+  std::vector<uint8_t> buf = SaveInSection(want);
+
+  Sample got;
+  got.fifo = {99, 98, 97, 96};  // Resized away by the restore.
+  BinaryReader r(buf);
+  SnapshotArchive ar(r);
+  EXPECT_TRUE(ar.loading());
+  ar.BeginSection(5);
+  got.Transfer(ar);
+  ar.EndSection();
+  r.ExpectEnd();
+  EXPECT_EQ(got.color, Color::kBlue);
+  EXPECT_EQ(got.delta, -7);
+  EXPECT_EQ(got.ratio, 0.25);
+  EXPECT_EQ(got.name, "zram");
+  EXPECT_EQ(got.fifo, want.fifo);
+  EXPECT_EQ(got.names, want.names);
+}
+
+TEST(SnapshotArchiveTest, ExpectMismatchThrows) {
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  save.Expect<uint64_t>(7, "task count");
+  std::vector<uint8_t> buf = w.Finish();
+  BinaryReader r(buf);
+  SnapshotArchive load(r);
+  EXPECT_THROW(load.Expect<uint64_t>(8, "task count"), std::runtime_error);
+}
+
+TEST(SnapshotArchiveTest, CountBoundedBySectionNotStream) {
+  BinaryWriter w;
+  w.BeginSection(1);
+  w.U64(3);  // Three 8-byte items announced, two present.
+  w.U64(0);
+  w.U64(0);
+  w.EndSection();
+  w.U64(0);  // Bytes past the section must not count.
+  std::vector<uint8_t> buf = w.Finish();
+  BinaryReader r(buf);
+  SnapshotArchive ar(r);
+  ar.BeginSection(1);
+  EXPECT_THROW(ar.Count(0, 8), std::runtime_error);
 }
 
 }  // namespace

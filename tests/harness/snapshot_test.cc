@@ -1,7 +1,8 @@
 // Snapshot round-trip property tests: saving at a quiescent boundary and
 // restoring into a fresh Experiment must reproduce the uninterrupted run
 // byte for byte — same stats, same trace, same metrics — across every
-// scheme and both aging policies. Malformed streams must fail loudly.
+// scheme and both aging and swap policies. Malformed streams must fail
+// loudly.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -18,12 +19,13 @@ namespace ice {
 namespace {
 
 ExperimentConfig SmallConfig(const std::string& scheme, const std::string& aging,
-                             bool trace = false) {
+                             bool trace = false, const std::string& swap = "baseline") {
   ExperimentConfig config;
   config.device = Pixel3Profile();
   config.seed = 1234;
   config.scheme = scheme;
   config.aging = aging;
+  config.swap = swap;
   config.trace = trace;
   return config;
 }
@@ -45,9 +47,12 @@ std::string StateDigest(Experiment& e) {
 
 // Cache two apps cold, snapshot, then compare: (a) the uninterrupted
 // continuation against (b) a restored clone running the same continuation.
-void RoundTripIdentical(const std::string& scheme, const std::string& aging) {
-  SCOPED_TRACE(scheme + "/" + aging);
-  ExperimentConfig config = SmallConfig(scheme, aging);
+// Re-saving the clone right after the restore must reproduce the snapshot
+// byte for byte, which catches any field that is written but never read.
+void RoundTripIdentical(const std::string& scheme, const std::string& aging,
+                        const std::string& swap = "baseline", bool trace = false) {
+  SCOPED_TRACE(scheme + "/" + aging + "/" + swap + (trace ? "/trace" : ""));
+  ExperimentConfig config = SmallConfig(scheme, aging, trace, swap);
 
   Experiment cold(config);
   std::vector<Uid> pool = cold.PlanBackgroundPool();
@@ -63,6 +68,7 @@ void RoundTripIdentical(const std::string& scheme, const std::string& aging) {
   std::string want_digest = StateDigest(cold);
 
   auto restored = Experiment::RestoreSnapshot(config, snapshot);
+  EXPECT_TRUE(restored->SaveSnapshot() == snapshot) << "re-saved snapshot differs";
   ScenarioResult got;
   {
     Experiment& e = *restored;
@@ -90,6 +96,15 @@ TEST(SnapshotRoundTrip, AcclaimGenClock) { RoundTripIdentical("acclaim", "gen_cl
 TEST(SnapshotRoundTrip, PowerTwoList) { RoundTripIdentical("power", "two_list"); }
 TEST(SnapshotRoundTrip, IceTwoList) { RoundTripIdentical("ice", "two_list"); }
 TEST(SnapshotRoundTrip, IceGenClock) { RoundTripIdentical("ice", "gen_clock"); }
+TEST(SnapshotRoundTrip, LruCfsTwoListHotness) {
+  RoundTripIdentical("lru_cfs", "two_list", "hotness");
+}
+TEST(SnapshotRoundTrip, PowerGenClockHotnessTraced) {
+  RoundTripIdentical("power", "gen_clock", "hotness", /*trace=*/true);
+}
+TEST(SnapshotRoundTrip, IceGenClockHotnessTraced) {
+  RoundTripIdentical("ice", "gen_clock", "hotness", /*trace=*/true);
+}
 
 // The trace ring, totals and task names survive the round trip: the
 // restored run's serialized trace equals the uninterrupted run's.

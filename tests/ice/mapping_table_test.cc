@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "src/base/binary_stream.h"
+
 namespace ice {
 namespace {
 
@@ -125,6 +131,44 @@ TEST(MappingTable, RemovalFreesBudget) {
   }
   table.RemoveApp(10000);
   EXPECT_TRUE(table.AddApp(99999));
+}
+
+TEST(MappingTable, SnapshotRoundTrip) {
+  MappingTable table;
+  table.AddApp(10001);
+  table.AddProcess(10001, 100, -3);
+  table.AddProcess(10001, 101, 5);
+  table.AddApp(10002);
+  table.SetFrozen(10002, true);
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  table.Transfer(save);
+  std::vector<uint8_t> buf = w.Finish();
+
+  MappingTable restored;
+  restored.AddApp(10009);  // Overwritten by the restore.
+  BinaryReader r(buf);
+  SnapshotArchive load(r);
+  restored.Transfer(load);
+  ASSERT_EQ(restored.app_count(), 2u);
+  EXPECT_EQ(restored.Find(10009), nullptr);
+  EXPECT_EQ(restored.UidOfPid(101), 10001);
+  EXPECT_EQ(restored.Find(10001)->processes[0].score, -3);
+  EXPECT_TRUE(restored.Find(10002)->frozen);
+}
+
+// A length prefix larger than the bytes left is rejected before anything is
+// allocated: 2^62 would overflow reserve(), 2^40 would exhaust memory.
+TEST(MappingTable, OversizedLengthPrefixThrows) {
+  for (uint64_t count : {uint64_t{1} << 62, uint64_t{1} << 40}) {
+    BinaryWriter w;
+    w.U64(count);
+    std::vector<uint8_t> buf = w.Finish();
+    BinaryReader r(buf);
+    SnapshotArchive load(r);
+    MappingTable table;
+    EXPECT_THROW(table.Transfer(load), std::runtime_error) << count;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // snapshot round-tripping of all of it.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/base/binary_stream.h"
@@ -165,12 +167,14 @@ TEST(SwapGovernor, SaveRestoreRoundTrip) {
   p.zram_bytes = 2100;
   gov.OnStored(&p, 11);
   BinaryWriter w;
-  gov.SaveTo(w);
+  SnapshotArchive save(w);
+  gov.Transfer(save);
   std::vector<uint8_t> buf = w.Finish();
 
   SwapGovernor restored(HotnessConfig());
   BinaryReader r(buf);
-  restored.RestoreFrom(r);
+  SnapshotArchive load(r);
+  restored.Transfer(load);
   EXPECT_EQ(restored.writeback_queue_depth(), 2u);
   EXPECT_EQ(restored.compressed_bytes().count(), 2u);
   EXPECT_DOUBLE_EQ(restored.compressed_bytes().Sum(), 3000.0);
@@ -322,7 +326,8 @@ TEST(SwapMm, SnapshotRoundTripPreservesHotnessState) {
   }
   mm.ReclaimAllOf(space);
   BinaryWriter w;
-  mm.SaveTo(w);
+  SnapshotArchive save(w);
+  mm.Transfer(save);
   std::vector<uint8_t> buf = w.Finish();
 
   Engine engine2(5);
@@ -330,7 +335,8 @@ TEST(SwapMm, SnapshotRoundTripPreservesHotnessState) {
   AddressSpace space2(1, 1, "a", AnonLayout(60));
   mm2.Register(space2);
   BinaryReader r(buf);
-  mm2.RestoreFrom(r);
+  SnapshotArchive load(r);
+  mm2.Transfer(load);
 
   for (uint32_t vpn = 0; vpn < 60; ++vpn) {
     EXPECT_EQ(space2.page(vpn).hotness(), space.page(vpn).hotness()) << vpn;
@@ -344,6 +350,41 @@ TEST(SwapMm, SnapshotRoundTripPreservesHotnessState) {
   EXPECT_DOUBLE_EQ(mm2.swap_governor().compressed_bytes().Sum(),
                    mm.swap_governor().compressed_bytes().Sum());
   EXPECT_DOUBLE_EQ(mm2.SwapPressure(), mm.SwapPressure());
+  mm.Release(space);
+  mm2.Release(space2);
+}
+
+// A structural mismatch in the stream is bad input, not a programmer error:
+// restoring a two_list manager's state into a gen_clock one throws.
+TEST(SwapMm, SnapshotIntoOtherAgingPolicyThrows) {
+  Engine engine(5);
+  MemConfig config = HotnessMemConfig();
+  MemoryManager mm(engine, config, nullptr);
+  AddressSpace space(1, 1, "a", AnonLayout(60));
+  mm.Register(space);
+  for (uint32_t vpn = 0; vpn < 60; ++vpn) {
+    mm.Access(space, vpn, false, nullptr);
+  }
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  mm.Transfer(save);
+  std::vector<uint8_t> buf = w.Finish();
+
+  Engine engine2(5);
+  MemConfig gen_clock = config;
+  gen_clock.aging = AgingPolicy::kGenClock;
+  MemoryManager mm2(engine2, gen_clock, nullptr);
+  AddressSpace space2(1, 1, "a", AnonLayout(60));
+  mm2.Register(space2);
+  BinaryReader r(buf);
+  SnapshotArchive load(r);
+  try {
+    mm2.Transfer(load);
+    ADD_FAILURE() << "restore into another aging policy did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("aging policy mismatch"), std::string::npos)
+        << e.what();
+  }
   mm.Release(space);
   mm2.Release(space2);
 }
