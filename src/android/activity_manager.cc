@@ -215,35 +215,26 @@ void ActivityManager::Launch(Uid uid, LaunchCallback on_interactive) {
   item.space = &space;
   item.write = false;
 
-  if (record.cold) {
-    item.compute_us = d.cold_launch_cpu;
-    // Cold launch reads the code/resource prefix from flash and faults in
-    // the initial heap: contiguous prefixes of each region.
-    auto add_prefix = [&item](uint32_t begin, uint32_t end, double fraction) {
-      uint32_t count = static_cast<uint32_t>((end - begin) * fraction);
-      for (uint32_t vpn = begin; vpn < begin + count; ++vpn) {
-        item.touch_vpns.push_back(vpn);
-      }
-    };
-    add_prefix(space.file_begin(), space.file_end(), d.cold_touch_fraction);
-    add_prefix(space.java_begin(), space.java_end(), d.cold_touch_fraction * 0.8);
-    add_prefix(space.native_begin(), space.native_end(), d.cold_touch_fraction * 0.8);
-  } else {
-    item.compute_us = d.hot_launch_cpu;
-    if (was_frozen) {
-      item.compute_us += kThawLatency;
+  // Cold launch reads the code/resource prefix from flash and faults in the
+  // initial heap; hot launch re-touches the front of the hot working set, so
+  // any of those pages reclaimed while cached refault now. Either way the
+  // work touches a contiguous prefix of each region: file, java, native.
+  double file_fraction = record.cold ? d.cold_touch_fraction : d.hot_touch_fraction;
+  double anon_fraction = record.cold ? d.cold_touch_fraction * 0.8 : d.hot_touch_fraction;
+  item.compute_us = record.cold ? d.cold_launch_cpu : d.hot_launch_cpu;
+  if (was_frozen) {
+    item.compute_us += kThawLatency;
+  }
+  const uint32_t begins[] = {space.file_begin(), space.java_begin(), space.native_begin()};
+  const uint32_t counts[] = {
+      static_cast<uint32_t>((space.file_end() - space.file_begin()) * file_fraction),
+      static_cast<uint32_t>((space.java_end() - space.java_begin()) * anon_fraction),
+      static_cast<uint32_t>((space.native_end() - space.native_begin()) * anon_fraction)};
+  item.touch_vpns.reserve(size_t{counts[0]} + counts[1] + counts[2]);
+  for (int r = 0; r < 3; ++r) {
+    for (uint32_t vpn = begins[r]; vpn < begins[r] + counts[r]; ++vpn) {
+      item.touch_vpns.push_back(vpn);
     }
-    // Hot launch re-touches the front of the hot working set; any of those
-    // pages that were reclaimed while cached refault now.
-    auto add_prefix = [&item](uint32_t begin, uint32_t end, double fraction) {
-      uint32_t count = static_cast<uint32_t>((end - begin) * fraction);
-      for (uint32_t vpn = begin; vpn < begin + count; ++vpn) {
-        item.touch_vpns.push_back(vpn);
-      }
-    };
-    add_prefix(space.file_begin(), space.file_end(), d.hot_touch_fraction);
-    add_prefix(space.java_begin(), space.java_end(), d.hot_touch_fraction);
-    add_prefix(space.native_begin(), space.native_end(), d.hot_touch_fraction);
   }
 
   // Only the interactive prefix of the working set is populated before the

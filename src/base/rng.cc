@@ -107,25 +107,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  if (n <= 1) {
-    return 0;
-  }
-  // Inverse-CDF approximation for the continuous Zipf/Pareto distribution.
-  // Exact for s == 1 up to normalization; adequate for skewed access models.
-  double u = NextDouble();
-  if (s == 1.0) {
-    double h = std::log(static_cast<double>(n));
-    uint64_t r = static_cast<uint64_t>(std::exp(u * h)) - 1;
-    return r >= n ? n - 1 : r;
-  }
-  double one_minus_s = 1.0 - s;
-  double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
-  double x = std::pow(u * hn * one_minus_s + 1.0, 1.0 / one_minus_s);
-  uint64_t r = static_cast<uint64_t>(x) - (x >= 1.0 ? 1 : 0);
-  return r >= n ? n - 1 : r;
-}
-
 double Rng::LogNormal(double median, double sigma) {
   ICE_CHECK_GT(median, 0.0);
   return median * std::exp(Gaussian(0.0, sigma));
@@ -138,6 +119,37 @@ void Rng::Transfer(SnapshotArchive& ar) {
   ar.U64(inc_);
   ar.Bool(has_gauss_);
   ar.F64(gauss_);
+}
+
+ZipfDist::ZipfDist(uint64_t n, double s) : n_(n) {
+  if (n_ <= 1) {
+    return;
+  }
+  // Inverse-CDF approximation for the continuous Zipf/Pareto distribution.
+  // Exact for s == 1 up to normalization; adequate for skewed access models.
+  harmonic_ = s == 1.0;
+  if (harmonic_) {
+    h_ = std::log(static_cast<double>(n_));
+    return;
+  }
+  one_minus_s_ = 1.0 - s;
+  inv_one_minus_s_ = 1.0 / one_minus_s_;
+  h_ = (std::pow(static_cast<double>(n_), one_minus_s_) - 1.0) / one_minus_s_;
+}
+
+uint64_t ZipfDist::Sample(Rng& rng) const {
+  if (n_ <= 1) {
+    return 0;
+  }
+  double u = rng.NextDouble();
+  if (harmonic_) {
+    uint64_t r = static_cast<uint64_t>(std::exp(u * h_)) - 1;
+    return r >= n_ ? n_ - 1 : r;
+  }
+  // Same association order as the unhoisted formula: (u * hn) * (1 - s).
+  double x = std::pow(u * h_ * one_minus_s_ + 1.0, inv_one_minus_s_);
+  uint64_t r = static_cast<uint64_t>(x) - (x >= 1.0 ? 1 : 0);
+  return r >= n_ ? n_ - 1 : r;
 }
 
 }  // namespace ice

@@ -44,10 +44,6 @@ class Rng {
   // Exponential with given mean (> 0).
   double Exponential(double mean);
 
-  // Pareto-ish heavy tail used by working-set models: returns a rank in
-  // [0, n) where low ranks are much more likely (Zipf with exponent s).
-  uint64_t Zipf(uint64_t n, double s);
-
   // Log-normal sample with the given median and sigma of the underlying
   // normal. Used for service-time jitter.
   double LogNormal(double median, double sigma);
@@ -75,6 +71,28 @@ class Rng {
   // Cached second Box-Muller value.
   bool has_gauss_ = false;
   double gauss_ = 0.0;
+};
+
+// Pareto-ish heavy tail used by working-set models: a rank in [0, n) where
+// low ranks are much more likely (Zipf with exponent s), drawn by inverse
+// CDF. The per-(n, s) constants are computed once here, so a draw costs one
+// NextDouble and one pow (an exp when s == 1). Ranks are bit-identical to
+// evaluating the whole formula per draw: the draw keeps its association
+// order and only hoists terms that do not depend on u.
+class ZipfDist {
+ public:
+  // n = 0 or 1: every draw is rank 0 and consumes no randomness.
+  ZipfDist() = default;
+  ZipfDist(uint64_t n, double s);
+
+  uint64_t Sample(Rng& rng) const;
+
+ private:
+  uint64_t n_ = 0;
+  bool harmonic_ = false;  // s == 1: the rank is exp(u * log n) - 1.
+  double h_ = 0.0;         // log n when harmonic_, else hn.
+  double one_minus_s_ = 0.0;
+  double inv_one_minus_s_ = 0.0;
 };
 
 }  // namespace ice

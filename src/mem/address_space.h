@@ -70,6 +70,17 @@ class AddressSpace {
   size_t arena_bytes() const { return page_count_ * sizeof(PageInfo); }
   PageInfo& page(uint32_t vpn);
   const PageInfo& page(uint32_t vpn) const;
+  // Cache hint for an access to `vpn` coming soon: starts loading its
+  // PageInfo. Changes no state; a vpn outside the space is ignored.
+  void Prefetch(uint32_t vpn) const {
+#if defined(__GNUC__) || defined(__clang__)
+    if (vpn < page_count_) {
+      __builtin_prefetch(pages_.get() + vpn, /*rw=*/0, /*locality=*/3);
+    }
+#else
+    (void)vpn;
+#endif
+  }
 
   // Region boundaries: [0, java) java heap, [java, java+native) native heap,
   // [java+native, total) file-backed.

@@ -54,6 +54,12 @@ bool TaskContext::ShouldStop() const {
 
 // ---- WorkQueueBehavior -------------------------------------------------------
 
+namespace {
+// How many touches ahead WorkQueueBehavior prefetches page records. A hit
+// costs tens of nanoseconds, so eight touches cover most of a DRAM miss.
+constexpr size_t kTouchPrefetchDistance = 8;
+}  // namespace
+
 void WorkQueueBehavior::Push(WorkItem item) {
   queue_.push_back(std::move(item));
   if (task_ != nullptr && task_->state() == TaskState::kSleeping) {
@@ -70,9 +76,15 @@ void WorkQueueBehavior::Run(TaskContext& ctx) {
     WorkItem& item = queue_.front();
 
     // Touch the item's pages first (rendering reads its inputs), then burn
-    // the compute. Both phases are resumable.
+    // the compute. Both phases are resumable. The vpns are known up front,
+    // so each touch first starts loading the page record it will need
+    // kTouchPrefetchDistance touches later.
     while (item.next_touch < item.touch_vpns.size()) {
       ICE_CHECK(item.space != nullptr);
+      size_t ahead = item.next_touch + kTouchPrefetchDistance;
+      if (ahead < item.touch_vpns.size()) {
+        item.space->Prefetch(item.touch_vpns[ahead]);
+      }
       uint32_t vpn = item.touch_vpns[item.next_touch];
       ++item.next_touch;
       ctx.Touch(*item.space, vpn, item.write);

@@ -9,18 +9,25 @@
 
 namespace ice {
 
+PeriodicTouchBehavior::PeriodicTouchBehavior(const Params& params) : params_(params) {
+  ICE_CHECK(params_.region_count == 1 || params_.region_count == 2);
+  for (int i = 0; i < params_.region_count; ++i) {
+    uint32_t span = params_.regions[i].end - params_.regions[i].begin;
+    ICE_CHECK_GT(span, 0u);
+    zipf_[i] = ZipfDist(span, params_.zipf_s);
+  }
+}
+
 PeriodicTouchBehavior::Sample PeriodicTouchBehavior::SampleVpn(Rng& rng) {
-  const Region* region = &params_.regions[0];
+  int i = 0;
   if (params_.region_count > 1) {
     double total = params_.regions[0].weight + params_.regions[1].weight;
     if (rng.NextDouble() * total >= params_.regions[0].weight) {
-      region = &params_.regions[1];
+      i = 1;
     }
   }
-  uint32_t span = region->end - region->begin;
-  ICE_CHECK_GT(span, 0u);
-  return {region->space,
-          region->begin + static_cast<uint32_t>(rng.Zipf(span, params_.zipf_s))};
+  const Region& region = params_.regions[i];
+  return {region.space, region.begin + static_cast<uint32_t>(zipf_[i].Sample(rng))};
 }
 
 void PeriodicTouchBehavior::Run(TaskContext& ctx) {

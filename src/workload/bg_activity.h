@@ -12,6 +12,7 @@
 #define SRC_WORKLOAD_BG_ACTIVITY_H_
 
 #include "src/android/activity_manager.h"
+#include "src/base/rng.h"
 #include "src/proc/behavior.h"
 #include "src/workload/app_catalog.h"
 
@@ -37,7 +38,9 @@ class PeriodicTouchBehavior : public Behavior {
     double jitter = 0.3;
   };
 
-  explicit PeriodicTouchBehavior(const Params& params) : params_(params) {}
+  // `region_count` is 1 or 2, and each of those regions spans at least one
+  // page.
+  explicit PeriodicTouchBehavior(const Params& params);
 
   void Run(TaskContext& ctx) override;
 
@@ -54,6 +57,8 @@ class PeriodicTouchBehavior : public Behavior {
   Sample SampleVpn(Rng& rng);
 
   Params params_;
+  // One rank sampler per region, over its span at params_.zipf_s.
+  ZipfDist zipf_[2];
   bool started_ = false;
   uint32_t remaining_touches_ = 0;
   SimDuration remaining_cpu_ = 0;

@@ -103,52 +103,36 @@ Scenario::Scenario(ActivityManager& am, Uid uid, ScenarioKind kind, Rng rng)
     : am_(am), uid_(uid), kind_(kind), params_(ParamsFor(kind)), rng_(rng) {}
 
 uint32_t Scenario::SampleHotVpn(AddressSpace& space) {
-  const AppDescriptor& d = am_.descriptor(uid_);
   if (rng_.NextDouble() < params_.revisit_fraction) {
     // Cold revisit: uniform over the launched prefix of all three regions.
-    uint32_t java_hot = static_cast<uint32_t>(
-        (space.java_end() - space.java_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t native_hot = static_cast<uint32_t>(
-        (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t file_hot = static_cast<uint32_t>(
-        (space.file_end() - space.file_begin()) * d.cold_touch_fraction);
-    uint32_t span = std::max(1u, java_hot + native_hot + file_hot);
+    uint32_t span = std::max(1u, java_hot_ + native_hot_ + file_hot_);
     uint32_t r = rng_.Below(span);
-    if (r < java_hot) {
+    if (r < java_hot_) {
       return space.java_begin() + r;
     }
-    r -= java_hot;
-    if (r < native_hot) {
+    r -= java_hot_;
+    if (r < native_hot_) {
       return space.native_begin() + r;
     }
-    return space.file_begin() + (r - native_hot);
+    return space.file_begin() + (r - native_hot_);
   }
   // 55 % anonymous (java+native prefix), 45 % file prefix — the foreground
   // working set mix.
   if (rng_.NextDouble() < 0.55) {
-    uint32_t java_hot = static_cast<uint32_t>(
-        (space.java_end() - space.java_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t native_hot = static_cast<uint32_t>(
-        (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
-    uint32_t span = std::max(1u, java_hot + native_hot);
-    uint32_t r = static_cast<uint32_t>(rng_.Zipf(span, 0.55));
-    if (r < java_hot) {
+    uint32_t r = static_cast<uint32_t>(anon_zipf_.Sample(rng_));
+    if (r < java_hot_) {
       return space.java_begin() + r;
     }
-    return space.native_begin() + (r - java_hot);
+    return space.native_begin() + (r - java_hot_);
   }
-  uint32_t file_hot = std::max(1u, static_cast<uint32_t>(
-      (space.file_end() - space.file_begin()) * d.cold_touch_fraction));
-  return space.file_begin() + static_cast<uint32_t>(rng_.Zipf(file_hot, 0.55));
+  return space.file_begin() + static_cast<uint32_t>(file_zipf_.Sample(rng_));
 }
 
 void Scenario::AppendColdFile(AddressSpace& space, FrameWork& frame, uint32_t pages) {
   for (uint32_t i = 0; i < pages; ++i) {
     if (file_cursor_ >= space.file_end()) {
       // Wrap to the hot-prefix boundary: old content gets re-read.
-      const AppDescriptor& d = am_.descriptor(uid_);
-      file_cursor_ = space.file_begin() + static_cast<uint32_t>(
-          (space.file_end() - space.file_begin()) * d.cold_touch_fraction);
+      file_cursor_ = space.file_begin() + file_hot_;
     }
     frame.vpns.push_back(file_cursor_++);
   }
@@ -158,9 +142,7 @@ void Scenario::AppendAnonAlloc(AddressSpace& space, FrameWork& frame, uint32_t p
   // Allocations cycle through a bounded ring above the hot prefix — like a
   // real decoded-frame ring. Under pressure the reused slots have been
   // evicted, so each lap faults them back in on the render path.
-  const AppDescriptor& d = am_.descriptor(uid_);
-  uint32_t ring_begin = space.native_begin() + static_cast<uint32_t>(
-      (space.native_end() - space.native_begin()) * d.cold_touch_fraction * 0.8);
+  uint32_t ring_begin = space.native_begin() + native_hot_;
   uint32_t ring_end = static_cast<uint32_t>(std::min<uint64_t>(
       space.native_end(), ring_begin + params_.alloc_ring_pages));
   for (uint32_t i = 0; i < pages; ++i) {
@@ -179,10 +161,16 @@ std::optional<FrameWork> Scenario::NextFrame(SimTime vsync) {
   if (!initialized_) {
     initialized_ = true;
     const AppDescriptor& d = am_.descriptor(uid_);
-    file_cursor_ = space->file_begin() + static_cast<uint32_t>(
-        (space->file_end() - space->file_begin()) * d.cold_touch_fraction);
-    anon_cursor_ = space->native_begin() + static_cast<uint32_t>(
+    java_hot_ = static_cast<uint32_t>(
+        (space->java_end() - space->java_begin()) * d.cold_touch_fraction * 0.8);
+    native_hot_ = static_cast<uint32_t>(
         (space->native_end() - space->native_begin()) * d.cold_touch_fraction * 0.8);
+    file_hot_ = static_cast<uint32_t>(
+        (space->file_end() - space->file_begin()) * d.cold_touch_fraction);
+    anon_zipf_ = ZipfDist(std::max(1u, java_hot_ + native_hot_), 0.55);
+    file_zipf_ = ZipfDist(std::max(1u, file_hot_), 0.55);
+    file_cursor_ = space->file_begin() + file_hot_;
+    anon_cursor_ = space->native_begin() + native_hot_;
     next_burst_ = params_.burst_period == 0 ? UINT64_MAX : vsync + params_.burst_period;
     next_round_ = params_.round_period == 0 ? UINT64_MAX : vsync + params_.round_period;
   }

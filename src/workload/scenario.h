@@ -92,6 +92,15 @@ class Scenario : public FrameSource {
   uint32_t pending_anon_alloc_ = 0;
   bool initialized_ = false;
 
+  // Launched-prefix lengths of the java, native and file regions, and the
+  // hot-touch samplers over them, fixed on the first frame: they depend only
+  // on the app's layout and descriptor, which a relaunch keeps.
+  uint32_t java_hot_ = 0;
+  uint32_t native_hot_ = 0;
+  uint32_t file_hot_ = 0;
+  ZipfDist anon_zipf_;  // Over java_hot_ + native_hot_.
+  ZipfDist file_zipf_;  // Over file_hot_.
+
   static constexpr uint32_t kMaxColdPerFrame = 400;
   static constexpr uint32_t kMaxAllocPerFrame = 700;
 };

@@ -14,6 +14,7 @@ UsageTraceRunner::UsageTraceRunner(ActivityManager& am, Choreographer& choreogra
     : am_(am),
       choreographer_(choreographer),
       apps_(std::move(apps)),
+      app_zipf_(apps_.size(), 0.9),
       rng_(rng),
       config_(config) {
   ICE_CHECK(!apps_.empty());
@@ -48,7 +49,7 @@ void UsageTraceRunner::TakeSample() {
 void UsageTraceRunner::RunOneSession() {
   Engine& engine = am_.engine();
   // Zipf-popular app choice: a few favorites dominate.
-  size_t idx = static_cast<size_t>(rng_.Zipf(apps_.size(), 0.9));
+  size_t idx = static_cast<size_t>(app_zipf_.Sample(rng_));
   const InstalledApp& chosen = apps_[idx];
 
   am_.Launch(chosen.uid);

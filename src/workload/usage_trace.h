@@ -65,6 +65,7 @@ class UsageTraceRunner {
   ActivityManager& am_;
   Choreographer& choreographer_;
   std::vector<InstalledApp> apps_;
+  ZipfDist app_zipf_;  // Popularity rank over apps_.
   Rng rng_;
   Config config_;
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <vector>
 
+#include "src/base/binary_stream.h"
+
 namespace ice {
 namespace {
 
@@ -119,13 +121,56 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / kSamples, 250.0, 5.0);
 }
 
-TEST(Rng, ZipfInRangeAndSkewed) {
+// The rank formula as Rng::Zipf evaluated it before ZipfDist hoisted the
+// per-(n, s) constants: both pows on every draw. Kept as the golden
+// reference, because simulation outputs depend on every rank bit.
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double s) {
+  if (n <= 1) {
+    return 0;
+  }
+  double u = rng.NextDouble();
+  if (s == 1.0) {
+    double h = std::log(static_cast<double>(n));
+    uint64_t r = static_cast<uint64_t>(std::exp(u * h)) - 1;
+    return r >= n ? n - 1 : r;
+  }
+  double one_minus_s = 1.0 - s;
+  double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
+  double x = std::pow(u * hn * one_minus_s + 1.0, 1.0 / one_minus_s);
+  uint64_t r = static_cast<uint64_t>(x) - (x >= 1.0 ? 1 : 0);
+  return r >= n ? n - 1 : r;
+}
+
+std::vector<uint8_t> StateBytes(Rng& rng) {
+  BinaryWriter w;
+  SnapshotArchive ar(w);
+  rng.Transfer(ar);
+  return w.Finish();
+}
+
+TEST(ZipfDist, MatchesReferenceFormulaBitExact) {
+  for (double s : {0.05, 0.55, 0.7, 0.9, 1.0}) {
+    for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{1000},
+                       uint64_t{1} << 20}) {
+      SCOPED_TRACE(testing::Message() << "s=" << s << " n=" << n);
+      Rng ref(43), rng(43);
+      ZipfDist zipf(n, s);
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(zipf.Sample(rng), ReferenceZipf(ref, n, s)) << "draw " << i;
+      }
+      EXPECT_EQ(StateBytes(rng), StateBytes(ref));
+    }
+  }
+}
+
+TEST(ZipfDist, InRangeAndSkewed) {
   Rng rng(23);
   constexpr uint64_t kN = 1000;
   constexpr int kSamples = 100000;
+  ZipfDist zipf(kN, 0.9);
   int low_half = 0;
   for (int i = 0; i < kSamples; ++i) {
-    uint64_t v = rng.Zipf(kN, 0.9);
+    uint64_t v = zipf.Sample(rng);
     ASSERT_LT(v, kN);
     if (v < kN / 2) {
       ++low_half;
@@ -135,13 +180,14 @@ TEST(Rng, ZipfInRangeAndSkewed) {
   EXPECT_GT(low_half, kSamples * 3 / 4);
 }
 
-TEST(Rng, ZipfNearUniformWhenFlat) {
+TEST(ZipfDist, NearUniformWhenFlat) {
   Rng rng(29);
   constexpr uint64_t kN = 1000;
   constexpr int kSamples = 100000;
+  ZipfDist zipf(kN, 0.05);
   int low_half = 0;
   for (int i = 0; i < kSamples; ++i) {
-    if (rng.Zipf(kN, 0.05) < kN / 2) {
+    if (zipf.Sample(rng) < kN / 2) {
       ++low_half;
     }
   }

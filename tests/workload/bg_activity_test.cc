@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/experiment.h"
+#include "src/proc/scheduler.h"
 #include "src/proc/task.h"
+#include "src/storage/flash_profiles.h"
 
 namespace ice {
 namespace {
@@ -93,19 +95,48 @@ TEST(BgActivity, FrozenAppStopsTouching) {
 }
 
 TEST(PeriodicTouchBehavior, TouchesSampleBothRegions) {
-  ExperimentConfig config;
-  config.seed = 3;
-  Experiment exp(config);
-  Uid uid = exp.UidOf("Twitter");
-  exp.am().Launch(uid);
-  exp.AwaitInteractive(uid);
-  AddressSpace* space = exp.am().main_space(uid);
-  exp.am().MoveForegroundToBackground();
-  exp.engine().RunFor(Sec(40));
-  // The sync task touches native + file; both regions must show residency
-  // beyond the cold-launch prefix is not required, but java (GC) and
-  // native+file (sync) must all have been accessed.
-  EXPECT_GT(space->resident(), 0u);
+  Engine engine(3);
+  BlockDevice storage(engine, Ufs21Profile());
+  MemConfig config;
+  config.total_pages = 4000;
+  config.os_reserved_pages = 200;
+  config.wm = Watermarks::FromHigh(120);
+  MemoryManager mm(engine, config, &storage);
+  Scheduler sched(engine, mm, 4);
+  AddressSpaceLayout layout;
+  layout.native_pages = 1000;
+  layout.file_pages = 1000;
+  AddressSpace space(1, 1, "app", layout);
+  mm.Register(space);
+
+  // A native-heap prefix and a file window, nowhere near either region's
+  // edge, so a stray touch past [begin, end) shows up as a present page.
+  PeriodicTouchBehavior::Params params;
+  params.regions[0] = {&space, 100, 300, 0.55};
+  params.regions[1] = {&space, 1200, 1500, 0.45};
+  params.region_count = 2;
+  params.zipf_s = 0.7;
+  params.touches_per_burst = 100;
+  params.cpu_per_burst = Ms(1);
+  params.period = Ms(100);
+  sched.CreateTask("bg", nullptr, 0, std::make_unique<PeriodicTouchBehavior>(params));
+  engine.RunFor(Sec(2));
+
+  PageCount in_region[2] = {0, 0};
+  for (const PageInfo& p : space.pages()) {
+    if (p.state() == PageState::kUntouched) {
+      continue;
+    }
+    int r = 0;
+    while (r < 2 && (p.vpn < params.regions[r].begin || p.vpn >= params.regions[r].end)) {
+      ++r;
+    }
+    ASSERT_LT(r, 2) << "vpn " << p.vpn << " lies outside both regions";
+    in_region[r] += p.state() == PageState::kPresent ? 1 : 0;
+  }
+  EXPECT_GT(in_region[0], 0u);
+  EXPECT_GT(in_region[1], 0u);
+  mm.Release(space);
 }
 
 }  // namespace

@@ -92,6 +92,42 @@ TEST_F(ScenarioTest, DeadAppYieldsNoFrames) {
   EXPECT_FALSE(scenario.NextFrame(exp_->engine().now()).has_value());
 }
 
+TEST_F(ScenarioTest, RelaunchKeepsHotSpansValid) {
+  Uid uid = exp_->UidOf("TikTok");
+  exp_->am().Launch(uid);
+  exp_->AwaitInteractive(uid);
+  Scenario scenario(exp_->am(), uid, ScenarioKind::kShortVideo, Rng(7));
+  ASSERT_TRUE(scenario.NextFrame(exp_->engine().now()).has_value());
+
+  exp_->am().KillApp(*exp_->am().FindApp(uid));
+  exp_->am().Launch(uid);
+  exp_->AwaitInteractive(uid);
+  ASSERT_TRUE(exp_->am().interactive(uid));
+  // Let the rest of the cold launch (the post-interactive tail) populate the
+  // launched prefixes of the new space.
+  while (exp_->am().main_thread(uid)->pending() > 0) {
+    exp_->engine().RunFor(Ms(50));
+  }
+
+  AddressSpace* space = exp_->am().main_space(uid);
+  const uint32_t hot_touches = ParamsFor(ScenarioKind::kShortVideo).frame_touches;
+  for (int i = 1; i <= 200; ++i) {
+    auto frame = scenario.NextFrame(exp_->engine().now() + i * kVsyncPeriod);
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->space, space);
+    for (size_t t = 0; t < frame->vpns.size(); ++t) {
+      uint32_t vpn = frame->vpns[t];
+      ASSERT_LT(vpn, space->total_pages());
+      // The hot touches lead the frame; each must revisit a page the
+      // relaunch populated, never one beyond the launched prefixes.
+      if (t < hot_touches) {
+        ASSERT_NE(space->page(vpn).state(), PageState::kUntouched)
+            << "frame " << i << " hot vpn " << vpn << " outside the launched prefixes";
+      }
+    }
+  }
+}
+
 TEST_F(ScenarioTest, AllScenariosHaveDistinctParams) {
   ScenarioParams a = ParamsFor(ScenarioKind::kVideoCall);
   ScenarioParams d = ParamsFor(ScenarioKind::kGame);
