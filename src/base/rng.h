@@ -7,6 +7,7 @@
 #ifndef SRC_BASE_RNG_H_
 #define SRC_BASE_RNG_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -65,6 +66,10 @@ class Rng {
   // the cached Box-Muller value), so a restored stream continues bit-exact.
   void Transfer(SnapshotArchive& ar);
 
+  // Equal generators produce equal streams: same PCG32 state and stream and
+  // the same cached Box-Muller value.
+  bool operator==(const Rng&) const = default;
+
  private:
   uint64_t state_;
   uint64_t inc_;
@@ -93,6 +98,67 @@ class ZipfDist {
   double h_ = 0.0;         // log n when harmonic_, else hn.
   double one_minus_s_ = 0.0;
   double inv_one_minus_s_ = 0.0;
+};
+
+// Samples drawn ahead of time on a copy of a live stream, so a caller can
+// start work on upcoming draws (prefetching what they will touch) before it
+// consumes them. Take() hands out a buffered sample only while the live
+// stream is in exactly the state that sample was drawn from, and then sets
+// the live stream to the state the draw left behind. Any other draw on the
+// live stream in between discards the buffer and Take() draws directly. The
+// samples and the live stream are therefore bit-identical to drawing
+// directly, whoever else shares the stream. `draw` must be a pure function
+// of the stream state (`T draw(Rng&)`), the same one on every call.
+template <typename T, size_t N>
+class RngLookahead {
+ public:
+  // The next sample of `live`.
+  template <typename Draw>
+  T Take(Rng& live, Draw&& draw) {
+    if (size_ == 0 || live != from_) {
+      size_ = 0;
+      return draw(live);
+    }
+    const Entry& e = ring_[head_];
+    head_ = (head_ + 1) % N;
+    --size_;
+    from_ = e.after;
+    live = e.after;
+    return e.sample;
+  }
+
+  // Draws until `count` (at most N) samples of `live` are buffered and
+  // calls `on_draw(sample)` for each new one. `live` does not move.
+  template <typename Draw, typename OnDraw>
+  void Fill(const Rng& live, size_t count, Draw&& draw, OnDraw&& on_draw) {
+    if (size_ == 0 || live != from_) {
+      size_ = 0;
+      from_ = live;
+    }
+    if (size_ >= count) {
+      return;
+    }
+    Rng next = size_ == 0 ? from_ : ring_[(head_ + size_ - 1) % N].after;
+    for (; size_ < count && size_ < N; ++size_) {
+      Entry& e = ring_[(head_ + size_) % N];
+      e.sample = draw(next);
+      e.after = next;
+      on_draw(e.sample);
+    }
+  }
+
+  void Clear() { size_ = 0; }
+  size_t size() const { return size_; }
+
+ private:
+  struct Entry {
+    T sample{};
+    Rng after;  // The stream right after drawing `sample`.
+  };
+  std::array<Entry, N> ring_;
+  Rng from_;  // The stream the front sample is drawn from.
+  size_t head_ = 0;
+  size_t size_ = 0;
 };
 
 }  // namespace ice

@@ -1,5 +1,9 @@
 #include "src/mem/address_space.h"
 
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -11,27 +15,79 @@
 
 namespace ice {
 
+namespace {
+
+constexpr uintptr_t kHugePageBytes = uintptr_t{2} << 20;
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+constexpr bool kHugePages = true;
+constexpr int kHugePageAdvice = MADV_HUGEPAGE;
+#else
+constexpr bool kHugePages = false;
+constexpr int kHugePageAdvice = 0;
+#endif
+
+// Maps a zero-filled arena of `bytes` (> 0) on a private anonymous mapping
+// of its own. Kernel zero-fill leaves PageInfo's padding (26 payload bytes
+// in a 32-byte record) zero, which the raw snapshot dump needs: garbage
+// padding would make otherwise-identical states compare unequal byte-wise.
+// The mapping is page-aligned, so records pair up two per cache line. It
+// ends at least one record past the arena, and ASan builds poison that
+// tail, so an overrun of the last record is reported.
+//
+// On Linux an arena of 2 MiB or more starts on a 2 MiB boundary (2 MiB of
+// extra address space is reserved, and what the alignment skips is given
+// back) and its whole 2 MiB blocks are advised MADV_HUGEPAGE, so a touch at
+// a random vpn skips a 4 KiB page walk and a space costs a few faults to
+// build. The tail past the last whole block keeps 4 KiB pages: rounding the
+// mapping up to 2 MiB would inflate RSS.
+std::unique_ptr<PageInfo[], PageArenaDeleter> MapArena(size_t bytes) {
+  static const size_t kHostPage = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  size_t map_bytes = (bytes + sizeof(PageInfo) + kHostPage - 1) / kHostPage * kHostPage;
+  size_t huge_bytes = kHugePages ? bytes & ~(kHugePageBytes - 1) : 0;
+  size_t reserve = map_bytes + (huge_bytes > 0 ? kHugePageBytes : 0);
+  void* raw = mmap(nullptr, reserve, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  char* begin = static_cast<char*>(raw);
+  if (huge_bytes > 0) {
+    char* aligned = reinterpret_cast<char*>(
+        (reinterpret_cast<uintptr_t>(raw) + kHugePageBytes - 1) & ~(kHugePageBytes - 1));
+    char* end = aligned + map_bytes;
+    if (aligned > begin) {
+      munmap(begin, aligned - begin);
+    }
+    if (begin + reserve > end) {
+      munmap(end, begin + reserve - end);
+    }
+    begin = aligned;
+    // Advice only: where THP is off the arena keeps 4 KiB pages.
+    madvise(begin, huge_bytes, kHugePageAdvice);
+  }
+  ASAN_POISON_MEMORY_REGION(begin + bytes, map_bytes - bytes);
+  return {reinterpret_cast<PageInfo*>(begin), PageArenaDeleter{map_bytes}};
+}
+
+}  // namespace
+
 void PageArenaDeleter::operator()(PageInfo* pages) const {
-  ::operator delete(static_cast<void*>(pages), std::align_val_t(kPageArenaAlign));
+  // Poison outlives munmap; a later mapping at this address must start clean.
+  ASAN_UNPOISON_MEMORY_REGION(pages, map_bytes);
+  munmap(pages, map_bytes);
 }
 
 AddressSpace::AddressSpace(Pid pid, Uid uid, std::string name, const AddressSpaceLayout& layout)
     : pid_(pid), uid_(uid), name_(std::move(name)), layout_(layout) {
   page_count_ = layout.total();
-  void* raw = ::operator new(page_count_ * sizeof(PageInfo), std::align_val_t(kPageArenaAlign));
-  // Zero the arena before constructing: PageInfo has padding (26 payload
-  // bytes in a 32-byte record), and snapshots dump the arena raw — padding
-  // left as heap garbage would make otherwise-identical states compare
-  // unequal byte-wise.
-  std::memset(raw, 0, page_count_ * sizeof(PageInfo));
-  PageInfo* pages = static_cast<PageInfo*>(raw);
+  if (page_count_ > 0) {
+    pages_ = MapArena(page_count_ * sizeof(PageInfo));
+  }
   for (uint32_t vpn = 0; vpn < page_count_; ++vpn) {
-    PageInfo& p = *new (pages + vpn) PageInfo();
+    PageInfo& p = *new (pages_.get() + vpn) PageInfo();
     p.vpn = vpn;
     p.set_kind(KindOf(vpn));
   }
-  pages_ = std::unique_ptr<PageInfo[], PageArenaDeleter>(pages, PageArenaDeleter{});
-  lru_.BindArena(this, pages, page_count_);
+  lru_.BindArena(this, pages_.get(), page_count_);
 }
 
 PageInfo& AddressSpace::page(uint32_t vpn) {

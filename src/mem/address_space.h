@@ -2,10 +2,11 @@
 // (Java heap, native heap, file-backed), populated lazily on first touch.
 //
 // Page metadata lives in one contiguous arena (`pages_`) sized at
-// construction, so a space's records are a single slab: the reclaim scan and
-// LRU rotation walk packed 32-byte entries instead of pointer-chasing heap
-// nodes. Capacity is fixed so PageInfo records never move — LRU index links
-// and in-flight faults address pages by vpn for the AddressSpace lifetime.
+// construction, on a private anonymous mapping of its own, so a space's
+// records are a single slab: the reclaim scan and LRU rotation walk packed
+// 32-byte entries instead of pointer-chasing heap nodes. Capacity is fixed
+// so PageInfo records never move — LRU index links and in-flight faults
+// address pages by vpn for the AddressSpace lifetime.
 // "Heap growth" is modeled by touching previously untouched pages, which is
 // how the PUBG-style game workload allocates its 100 MB+ per battle round.
 #ifndef SRC_MEM_ADDRESS_SPACE_H_
@@ -32,13 +33,10 @@ struct AddressSpaceLayout {
   PageCount total() const { return java_pages + native_pages + file_pages; }
 };
 
-// Arena allocation alignment: a full cache line, so 32-byte records pair up
-// two per line and a record never straddles a line boundary.
-inline constexpr size_t kPageArenaAlign = 64;
-
 // Deleter for the arena: PageInfo is trivially destructible, so this only
-// returns the raw block.
+// unmaps the arena's mapping, `map_bytes` long.
 struct PageArenaDeleter {
+  size_t map_bytes = 0;
   void operator()(PageInfo* pages) const;
 };
 
@@ -136,11 +134,9 @@ class AddressSpace {
   std::string name_;
   AddressSpaceLayout layout_;
   uint32_t space_id_ = kInvalidSpaceId;
-  // The arena is placement-new constructed so vpn/kind are set in the same
-  // pass that first touches each element. `new PageInfo[n]` would
-  // zero-initialize the whole array (tens of MB for a large app) and then a
-  // second loop would rewrite it — at process-start rates that double sweep
-  // dominated sweep-runner profiles.
+  // The arena comes zero-filled from the kernel and is placement-new
+  // constructed so vpn/kind are set in the one pass that touches each
+  // record. Null for an empty layout, which maps nothing.
   std::unique_ptr<PageInfo[], PageArenaDeleter> pages_;
   size_t page_count_ = 0;
   PageCount resident_ = 0;

@@ -54,12 +54,6 @@ bool TaskContext::ShouldStop() const {
 
 // ---- WorkQueueBehavior -------------------------------------------------------
 
-namespace {
-// How many touches ahead WorkQueueBehavior prefetches page records. A hit
-// costs tens of nanoseconds, so eight touches cover most of a DRAM miss.
-constexpr size_t kTouchPrefetchDistance = 8;
-}  // namespace
-
 void WorkQueueBehavior::Push(WorkItem item) {
   queue_.push_back(std::move(item));
   if (task_ != nullptr && task_->state() == TaskState::kSleeping) {
@@ -187,6 +181,18 @@ void PeriodicLoadBehavior::Transfer(SnapshotArchive& ar) {
   ar.U64(remaining_compute_);
   ar.U32(remaining_touches_);
   ar.Bool(started_);
+  if (!ar.loading()) {
+    return;
+  }
+  // A countdown only ever runs down from its configured value, and only once
+  // the behavior has started; anything else would, say, send a touchless
+  // service to touch pages it has no space for.
+  if (remaining_touches_ > params_.touches || remaining_compute_ > params_.compute_us) {
+    SnapshotArchive::Fail("periodic-load countdown exceeds its per-burst value");
+  }
+  if (!started_ && (remaining_touches_ > 0 || remaining_compute_ > 0)) {
+    SnapshotArchive::Fail("periodic-load behavior carries a burst before it started");
+  }
 }
 
 }  // namespace ice

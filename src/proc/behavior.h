@@ -9,6 +9,7 @@
 #ifndef SRC_PROC_BEHAVIOR_H_
 #define SRC_PROC_BEHAVIOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -83,6 +84,11 @@ class Behavior {
   virtual bool Quiescent() const { return true; }
   virtual void Transfer(SnapshotArchive& ar) { (void)ar; }
 };
+
+// How many touches ahead a behavior that knows its upcoming vpns starts
+// loading their page records (AddressSpace::Prefetch). A hit costs tens of
+// nanoseconds, so eight touches cover most of a DRAM miss.
+inline constexpr size_t kTouchPrefetchDistance = 8;
 
 // A unit of deferred work: CPU time plus a set of page touches, with an
 // optional completion callback (used for frame latency measurement).

@@ -18,7 +18,7 @@ PeriodicTouchBehavior::PeriodicTouchBehavior(const Params& params) : params_(par
   }
 }
 
-PeriodicTouchBehavior::Sample PeriodicTouchBehavior::SampleVpn(Rng& rng) {
+PeriodicTouchBehavior::Sample PeriodicTouchBehavior::SampleVpn(Rng& rng) const {
   int i = 0;
   if (params_.region_count > 1) {
     double total = params_.regions[0].weight + params_.regions[1].weight;
@@ -44,9 +44,16 @@ void PeriodicTouchBehavior::Run(TaskContext& ctx) {
       remaining_touches_ = params_.touches_per_burst;
       remaining_cpu_ = params_.cpu_per_burst;
     }
+    // Each touch first draws the burst's samples up to
+    // kTouchPrefetchDistance touches ahead (never past its end) and starts
+    // loading their page records.
+    auto draw = [this](Rng& rng) { return SampleVpn(rng); };
+    auto prefetch = [](const Sample& ahead) { ahead.space->Prefetch(ahead.vpn); };
     while (remaining_touches_ > 0) {
-      Sample s = SampleVpn(ctx.rng());
+      Sample s = lookahead_.Take(ctx.rng(), draw);
       --remaining_touches_;
+      lookahead_.Fill(ctx.rng(), std::min<uint32_t>(remaining_touches_, kTouchPrefetchDistance),
+                      draw, prefetch);
       ctx.Touch(*s.space, s.vpn, /*write=*/false);
       if (ctx.ShouldStop()) {
         return;
@@ -77,6 +84,20 @@ void PeriodicTouchBehavior::Transfer(SnapshotArchive& ar) {
   ar.U32(remaining_touches_);
   ar.U64(remaining_cpu_);
   ar.Bool(burst_open_);
+  if (!ar.loading()) {
+    return;
+  }
+  lookahead_.Clear();
+  bool leftovers = remaining_touches_ > 0 || remaining_cpu_ > 0;
+  if (remaining_touches_ > params_.touches_per_burst || remaining_cpu_ > params_.cpu_per_burst) {
+    SnapshotArchive::Fail("periodic-touch countdown exceeds its per-burst value");
+  }
+  if (!started_ && (leftovers || burst_open_)) {
+    SnapshotArchive::Fail("periodic-touch behavior carries a burst before it started");
+  }
+  if (!burst_open_ && leftovers) {
+    SnapshotArchive::Fail("periodic-touch countdown left over after its burst closed");
+  }
 }
 
 void AttachBgActivity(ActivityManager& am, App& app, const BgActivityParams& params,

@@ -46,15 +46,20 @@ class PeriodicTouchBehavior : public Behavior {
 
   // Burst progress is plain counters (no closures), so a mid-burst task can
   // be snapshotted; the params are structural (rebuilt by the bg-task
-  // factory during lifecycle replay).
+  // factory during lifecycle replay). Restore rejects progress no run can
+  // reach. The look-ahead is derived data: it is not saved, and a restored
+  // behavior starts without one.
   void Transfer(SnapshotArchive& ar) override;
+
+  // Samples of the open burst drawn ahead of the touch in progress.
+  size_t lookahead() const { return lookahead_.size(); }
 
  private:
   struct Sample {
     AddressSpace* space;
     uint32_t vpn;
   };
-  Sample SampleVpn(Rng& rng);
+  Sample SampleVpn(Rng& rng) const;
 
   Params params_;
   // One rank sampler per region, over its span at params_.zipf_s.
@@ -63,6 +68,9 @@ class PeriodicTouchBehavior : public Behavior {
   uint32_t remaining_touches_ = 0;
   SimDuration remaining_cpu_ = 0;
   bool burst_open_ = false;
+  // The burst's next samples, drawn on a copy of the noise stream so their
+  // page records can be prefetched kTouchPrefetchDistance touches ahead.
+  RngLookahead<Sample, kTouchPrefetchDistance> lookahead_;
 };
 
 // Instantiates the standard background tasks for `app` according to its

@@ -194,6 +194,107 @@ TEST(ZipfDist, NearUniformWhenFlat) {
   EXPECT_NEAR(low_half / static_cast<double>(kSamples), 0.5, 0.05);
 }
 
+// PeriodicTouchBehavior::SampleVpn's shape: a weighted region pick by
+// NextDouble, then a Zipf rank inside the region.
+struct RegionDraw {
+  ZipfDist zipf[2] = {ZipfDist(1000, 0.05), ZipfDist(300, 0.7)};
+  uint64_t operator()(Rng& rng) const {
+    uint64_t i = rng.NextDouble() * 1.0 >= 0.55 ? 1 : 0;
+    return (i << 32) | zipf[i].Sample(rng);
+  }
+};
+
+// Twin-seeded streams, one drawn through a look-ahead and one directly. The
+// same random foreign draws land on both, before a Take or before a Fill,
+// as another task's draws land between two quanta of a background burst.
+// Every sample and every stream state must match the direct draws, and a
+// look-ahead no foreign draw has touched since it was filled must be used.
+TEST(RngLookahead, MatchesDirectDrawsUnderForeignDraws) {
+  Rng live(77), direct(77), script(78);
+  RngLookahead<uint64_t, 8> ahead;
+  RegionDraw region_draw;
+  int live_draws = 0;  // Draws Take() made on the live stream itself.
+  auto draw = [&](Rng& rng) {
+    live_draws += &rng == &live ? 1 : 0;
+    return region_draw(rng);
+  };
+  // Returns whether it drew; draws the same on both streams.
+  auto maybe_foreign = [&]() {
+    if (!script.Chance(0.15)) {
+      return false;
+    }
+    switch (script.Below(4)) {
+      case 0:
+        EXPECT_EQ(live.Next(), direct.Next());
+        break;
+      case 1:
+        EXPECT_EQ(live.NextDouble(), direct.NextDouble());
+        break;
+      case 2: {
+        uint32_t bound = 1 + script.Below(1000);
+        EXPECT_EQ(live.Below(bound), direct.Below(bound));
+        break;
+      }
+      default: {
+        // An odd number of calls flips the cached Box-Muller value, which
+        // can change the stream without moving the PCG state.
+        int calls = 1 + 2 * static_cast<int>(script.Below(2));
+        for (int c = 0; c < calls; ++c) {
+          EXPECT_EQ(live.Gaussian(0.0, 1.0), direct.Gaussian(0.0, 1.0));
+        }
+        break;
+      }
+    }
+    return true;
+  };
+  int commits = 0;
+  int discards = 0;
+  size_t filled = 0;
+  for (int step = 0; step < 100000; ++step) {
+    bool foreign = maybe_foreign();
+    int draws_before = live_draws;
+    ASSERT_EQ(ahead.Take(live, draw), region_draw(direct)) << "step " << step;
+    ASSERT_EQ(StateBytes(live), StateBytes(direct)) << "step " << step;
+    bool committed = live_draws == draws_before;
+    if (!foreign && filled > 0) {
+      ASSERT_TRUE(committed) << "an untouched look-ahead went unused at step " << step;
+    }
+    commits += committed ? 1 : 0;
+    discards += !committed && filled > 0 ? 1 : 0;
+
+    maybe_foreign();
+    size_t want = script.Below(9);
+    Rng before = live;
+    size_t fresh = 0;
+    ahead.Fill(live, want, draw, [&fresh](uint64_t) { ++fresh; });
+    ASSERT_TRUE(live == before) << "Fill moved the live stream at step " << step;
+    ASSERT_GE(ahead.size(), want);
+    ASSERT_LE(ahead.size(), 8u);
+    ASSERT_LE(fresh, want);
+    filled = ahead.size();
+  }
+  EXPECT_EQ(StateBytes(live), StateBytes(direct));
+  EXPECT_GT(commits, 50000);
+  EXPECT_GT(discards, 10000);
+}
+
+// A buffered sample is handed out only from the exact state it was drawn
+// from: PCG state alone is not enough when the cached Box-Muller value
+// differs.
+TEST(RngLookahead, CachedGaussianDiscardsTheBuffer) {
+  Rng live(5);
+  live.Gaussian(0.0, 1.0);  // Caches the second value.
+  Rng direct = live;
+  RngLookahead<uint64_t, 8> ahead;
+  RegionDraw draw;
+  ahead.Fill(live, 4, draw, [](uint64_t) {});
+  // Consumes the cached value: the PCG state does not move.
+  ASSERT_EQ(live.Gaussian(0.0, 1.0), direct.Gaussian(0.0, 1.0));
+  EXPECT_EQ(ahead.Take(live, draw), draw(direct));
+  EXPECT_EQ(ahead.size(), 0u);
+  EXPECT_TRUE(live == direct);
+}
+
 TEST(Rng, LogNormalMedian) {
   Rng rng(31);
   constexpr int kSamples = 100001;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <new>
+#include <vector>
+
 namespace ice {
 namespace {
 
@@ -76,6 +80,72 @@ TEST(AddressSpace, OwnsItsLru) {
   space.lru().Insert(&space.page(0));
   EXPECT_EQ(space.lru().total_size(), 1u);
   space.lru().Remove(&space.page(0));
+}
+
+// The byte image of a freshly-constructed record: zero padding, as the
+// sparse snapshot dump assumes for every record it leaves out.
+std::vector<unsigned char> FreshBytes(uint32_t vpn, HeapKind kind) {
+  alignas(PageInfo) unsigned char bytes[sizeof(PageInfo)] = {};
+  PageInfo* p = new (bytes) PageInfo();
+  p->vpn = vpn;
+  p->set_kind(kind);
+  return {bytes, bytes + sizeof(PageInfo)};
+}
+
+// Larger than 2 MiB, so the arena has a huge-page interior where THP is on.
+TEST(AddressSpace, LargeArenaRecordsAreFreshBytes) {
+  AddressSpaceLayout layout;
+  layout.java_pages = 40000;
+  layout.native_pages = 50000;
+  layout.file_pages = 60001;
+  AddressSpace space(1, 1, "big", layout);
+  ASSERT_GT(space.arena_bytes(), size_t{2} << 20);
+  EXPECT_EQ(space.arena_bytes(), space.total_pages() * sizeof(PageInfo));
+  for (uint32_t vpn = 0; vpn < space.total_pages(); ++vpn) {
+    std::vector<unsigned char> want = FreshBytes(vpn, space.KindOf(vpn));
+    ASSERT_EQ(std::memcmp(want.data(), &space.page(vpn), sizeof(PageInfo)), 0) << "vpn " << vpn;
+  }
+}
+
+// Synthetic apps have no service process pages: an empty layout maps
+// nothing and must still construct and destroy cleanly.
+TEST(AddressSpace, EmptyLayoutConstructsAndDestroys) {
+  AddressSpace space(1, 1, "svc", AddressSpaceLayout{});
+  EXPECT_EQ(space.total_pages(), 0u);
+  EXPECT_EQ(space.arena_bytes(), 0u);
+  EXPECT_TRUE(space.pages().empty());
+  EXPECT_EQ(space.lru().total_size(), 0u);
+  space.Prefetch(0);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ICE_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ICE_TEST_ASAN 1
+#endif
+#endif
+
+// Reading one record past the arena lands on the mapping's poisoned tail.
+TEST(AddressSpaceDeathTest, OverrunPastLastRecordIsReported) {
+#ifdef ICE_TEST_ASAN
+  for (PageCount pages : {PageCount{60}, PageCount{128}, PageCount{150001}}) {
+    AddressSpaceLayout layout;
+    layout.file_pages = pages;
+    AddressSpace space(1, 1, "app", layout);
+    const volatile unsigned char* end =
+        reinterpret_cast<const unsigned char*>(space.pages().data() + space.total_pages());
+    EXPECT_DEATH(
+        {
+          unsigned char byte = *end;
+          (void)byte;
+        },
+        "use-after-poison")
+        << pages << " pages";
+  }
+#else
+  GTEST_SKIP() << "overruns are reported only under AddressSanitizer";
+#endif
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
+#include "src/base/binary_stream.h"
 #include "src/proc/scheduler.h"
 #include "src/proc/task.h"
 #include "src/storage/flash_profiles.h"
@@ -151,6 +155,45 @@ TEST_F(BehaviorTest, PeriodicLoadApproximatesDutyCycle) {
   engine_.RunFor(Sec(2));
   double duty = static_cast<double>(t->cpu_time_us()) / Sec(2);
   EXPECT_NEAR(duty, 0.3, 0.05);
+}
+
+// Restores a PeriodicLoadBehavior's progress from a stream holding these
+// field values, in its Transfer order.
+void RestoreLoadProgress(PeriodicLoadBehavior& behavior, SimDuration remaining_compute,
+                         uint32_t remaining_touches, bool started) {
+  BinaryWriter w;
+  w.U64(remaining_compute);
+  w.U32(remaining_touches);
+  w.Bool(started);
+  std::vector<uint8_t> buf = w.Finish();
+  BinaryReader r(buf);
+  SnapshotArchive load(r);
+  behavior.Transfer(load);
+}
+
+// A touchless service handed a touch countdown would reach
+// ICE_CHECK(params_.space != nullptr) on its next run; restore must reject
+// it, and any countdown above the configured burst, instead.
+TEST(PeriodicLoadRestore, RejectsCountdownAboveItsBurst) {
+  PeriodicLoadBehavior::Params params;
+  params.compute_us = Us(500);
+  params.touches = 0;
+  PeriodicLoadBehavior service(params);
+  EXPECT_THROW(RestoreLoadProgress(service, 0, 3, true), std::runtime_error);
+  EXPECT_THROW(RestoreLoadProgress(service, Us(501), 0, true), std::runtime_error);
+  EXPECT_NO_THROW(RestoreLoadProgress(service, Us(500), 0, true));
+  EXPECT_NO_THROW(RestoreLoadProgress(service, Us(200), 0, true));
+}
+
+TEST(PeriodicLoadRestore, RejectsLeftoversBeforeStart) {
+  PeriodicLoadBehavior::Params params;
+  params.compute_us = Us(500);
+  params.touches = 4;
+  PeriodicLoadBehavior load(params);
+  EXPECT_THROW(RestoreLoadProgress(load, Us(100), 0, false), std::runtime_error);
+  EXPECT_THROW(RestoreLoadProgress(load, 0, 2, false), std::runtime_error);
+  EXPECT_NO_THROW(RestoreLoadProgress(load, 0, 0, false));
+  EXPECT_NO_THROW(RestoreLoadProgress(load, Us(100), 2, true));
 }
 
 TEST_F(BehaviorTest, ContextReportsBudget) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
+#include "src/base/binary_stream.h"
 #include "src/harness/experiment.h"
 #include "src/proc/scheduler.h"
 #include "src/proc/task.h"
@@ -137,6 +141,64 @@ TEST(PeriodicTouchBehavior, TouchesSampleBothRegions) {
   EXPECT_GT(in_region[0], 0u);
   EXPECT_GT(in_region[1], 0u);
   mm.Release(space);
+}
+
+// Restores a PeriodicTouchBehavior's burst progress from a stream holding
+// these field values, in its Transfer order.
+void RestoreTouchProgress(PeriodicTouchBehavior& behavior, bool started,
+                          uint32_t remaining_touches, SimDuration remaining_cpu,
+                          bool burst_open) {
+  BinaryWriter w;
+  w.Bool(started);
+  w.U32(remaining_touches);
+  w.U64(remaining_cpu);
+  w.Bool(burst_open);
+  std::vector<uint8_t> buf = w.Finish();
+  BinaryReader r(buf);
+  SnapshotArchive load(r);
+  behavior.Transfer(load);
+}
+
+class PeriodicTouchRestore : public ::testing::Test {
+ protected:
+  PeriodicTouchRestore() : space_(1, 1, "app", Layout()), behavior_(Burst(&space_)) {}
+
+  static AddressSpaceLayout Layout() {
+    AddressSpaceLayout layout;
+    layout.native_pages = 200;
+    return layout;
+  }
+  static PeriodicTouchBehavior::Params Burst(AddressSpace* space) {
+    PeriodicTouchBehavior::Params params;
+    params.regions[0] = {space, 0, 200, 1.0};
+    params.touches_per_burst = 100;
+    params.cpu_per_burst = Ms(1);
+    return params;
+  }
+
+  AddressSpace space_;
+  PeriodicTouchBehavior behavior_;
+};
+
+TEST_F(PeriodicTouchRestore, RejectsCountdownAboveItsBurst) {
+  EXPECT_THROW(RestoreTouchProgress(behavior_, true, 101, 0, true), std::runtime_error);
+  EXPECT_THROW(RestoreTouchProgress(behavior_, true, 0, Ms(1) + 1, true), std::runtime_error);
+  EXPECT_NO_THROW(RestoreTouchProgress(behavior_, true, 100, Ms(1), true));
+}
+
+TEST_F(PeriodicTouchRestore, RejectsBurstBeforeStart) {
+  EXPECT_THROW(RestoreTouchProgress(behavior_, false, 5, 0, true), std::runtime_error);
+  EXPECT_THROW(RestoreTouchProgress(behavior_, false, 0, Us(10), false), std::runtime_error);
+  EXPECT_THROW(RestoreTouchProgress(behavior_, false, 0, 0, true), std::runtime_error);
+  EXPECT_NO_THROW(RestoreTouchProgress(behavior_, false, 0, 0, false));
+}
+
+TEST_F(PeriodicTouchRestore, RejectsLeftoversAfterBurstClosed) {
+  EXPECT_THROW(RestoreTouchProgress(behavior_, true, 5, 0, false), std::runtime_error);
+  EXPECT_THROW(RestoreTouchProgress(behavior_, true, 0, Us(10), false), std::runtime_error);
+  EXPECT_NO_THROW(RestoreTouchProgress(behavior_, true, 0, 0, false));
+  // The touches are done but the burst's CPU is not: still open.
+  EXPECT_NO_THROW(RestoreTouchProgress(behavior_, true, 0, Us(10), true));
 }
 
 }  // namespace
