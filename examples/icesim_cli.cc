@@ -176,6 +176,22 @@ void CheckSwapName(const std::string& name) {
   }
 }
 
+// Validates scheme names against the registry, exiting like the other name
+// parsers and listing the known schemes.
+void CheckSchemeNames(const std::vector<std::string>& schemes) {
+  RegisterIceScheme();
+  for (const std::string& s : schemes) {
+    if (!SchemeRegistry::Instance().Contains(s)) {
+      std::fprintf(stderr, "unknown scheme '%s' (known:", s.c_str());
+      for (const std::string& k : SchemeRegistry::Instance().Keys()) {
+        std::fprintf(stderr, " %s", k.c_str());
+      }
+      std::fprintf(stderr, ")\n");
+      std::exit(2);
+    }
+  }
+}
+
 DeviceProfile DeviceFromName(const std::string& name) {
   if (name == "p20") {
     return P20Profile();
@@ -193,17 +209,7 @@ int RunSweep(const CliOptions& opts) {
     axes.devices.push_back(DeviceFromName(d));
   }
   axes.schemes = SplitList(opts.scheme);
-  RegisterIceScheme();  // validate scheme names before the workers start
-  for (const std::string& s : axes.schemes) {
-    if (!SchemeRegistry::Instance().Contains(s)) {
-      std::fprintf(stderr, "unknown scheme '%s' (known:", s.c_str());
-      for (const std::string& k : SchemeRegistry::Instance().Keys()) {
-        std::fprintf(stderr, " %s", k.c_str());
-      }
-      std::fprintf(stderr, ")\n");
-      return 2;
-    }
-  }
+  CheckSchemeNames(axes.schemes);
   axes.agings = SplitList(opts.aging);
   for (const std::string& a : axes.agings) {
     CheckAgingName(a);
@@ -276,13 +282,7 @@ int RunFleet(const CliOptions& opts) {
   CheckSwapName(opts.swap);
   config.swap = opts.swap;
   config.schemes = SplitList(opts.scheme);
-  RegisterIceScheme();
-  for (const std::string& s : config.schemes) {
-    if (!SchemeRegistry::Instance().Contains(s)) {
-      std::fprintf(stderr, "unknown scheme '%s'\n", s.c_str());
-      return 2;
-    }
-  }
+  CheckSchemeNames(config.schemes);
   if (!opts.tiers.empty()) {
     config.tiers = SplitList(opts.tiers);
     for (const std::string& t : config.tiers) {
@@ -408,6 +408,7 @@ int main(int argc, char** argv) {
 
   ExperimentConfig config;
   config.device = DeviceFromName(opts.device);
+  CheckSchemeNames({opts.scheme});
   config.scheme = opts.scheme;
   CheckAgingName(opts.aging);
   config.aging = opts.aging;

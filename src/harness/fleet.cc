@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <exception>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/base/log.h"
 #include "src/harness/experiment.h"
 #include "src/harness/sweep.h"
+#include "src/mem/aging.h"
 #include "src/workload/usage_trace.h"
 
 namespace ice {
@@ -43,18 +41,23 @@ FleetRunner::FleetRunner(const FleetConfig& config) : config_(config) {
     ICE_CHECK(IsFleetTier(tier)) << "unknown fleet tier: " << tier;
   }
   ICE_CHECK(!config_.schemes.empty());
-  SwapPolicy swap_policy;
-  ICE_CHECK(SwapPolicyFromName(config_.swap, &swap_policy))
-      << "unknown swap policy: " << config_.swap;
+  // Both policy axes fail here, before any worker starts, not inside the
+  // first device's Experiment.
+  AgingPolicy aging{};
+  ICE_CHECK(AgingPolicyFromName(config_.aging, &aging))
+      << "unknown aging policy: " << config_.aging;
+  SwapPolicy swap{};
+  ICE_CHECK(SwapPolicyFromName(config_.swap, &swap)) << "unknown swap policy: " << config_.swap;
   ICE_CHECK_GE(config_.sessions, 1);
   if (config_.jobs <= 0) {
     config_.jobs = DefaultSweepJobs();
   }
   if (config_.chunk == 0) {
-    // Auto chunking: coarse enough that the ordered fold and queue traffic
-    // are cheap, fine enough that stealing can balance stragglers. A pure
-    // function of the device count — never of jobs — so the per-chunk
-    // double-sum grouping (and hence the output bytes) is shard-independent.
+    // Auto chunking: coarse enough that the ordered fold and the pool's
+    // counter are cheap, fine enough that workers stay balanced around
+    // stragglers. A pure function of the device count — never of jobs — so
+    // the per-chunk double-sum grouping (and hence the output bytes) is
+    // shard-independent.
     config_.chunk = static_cast<uint32_t>(
         std::clamp<uint64_t>(config_.devices / 64, 1, 256));
   }
@@ -148,19 +151,12 @@ void FleetRunner::RunChunk(uint64_t chunk_index,
   const uint64_t end = std::min(begin + chunk_, config_.devices);
   for (uint64_t i = begin; i < end; ++i) {
     FleetGroupStats& g = partial[GroupOf(i)];
-    try {
-      RunDevice(i, g);
-    } catch (const std::exception& e) {
+    std::string error;
+    if (!CaptureFailure([&] { RunDevice(i, g); }, &error)) {
       ++g.failures;
       if (i < g.first_error_device) {
         g.first_error_device = i;
-        g.first_error = e.what();
-      }
-    } catch (...) {
-      ++g.failures;
-      if (i < g.first_error_device) {
-        g.first_error_device = i;
-        g.first_error = "unknown exception";
+        g.first_error = std::move(error);
       }
     }
   }
@@ -172,81 +168,29 @@ FleetResult FleetRunner::Run() const {
   result.config = config_;
   result.groups = MakeAccumulators();
 
-  const uint64_t chunks = num_chunks();
-  const int workers =
-      static_cast<int>(std::min<uint64_t>(static_cast<uint64_t>(config_.jobs),
-                                          chunks == 0 ? 1 : chunks));
-
-  // Work-stealing chunk queues: contiguous blocks per worker, own work pops
-  // from the front, steals take from the back of the fullest victim. One
-  // mutex guards the queues — chunks are coarse, so queue traffic is cold.
-  std::mutex queue_mu;
-  std::vector<std::deque<uint64_t>> queues(static_cast<size_t>(workers));
-  for (uint64_t c = 0; c < chunks; ++c) {
-    const size_t w = static_cast<size_t>(c * static_cast<uint64_t>(workers) / chunks);
-    queues[w].push_back(c);
-  }
-  auto pop = [&queue_mu, &queues](size_t self, uint64_t* chunk) {
-    std::lock_guard<std::mutex> lock(queue_mu);
-    if (!queues[self].empty()) {
-      *chunk = queues[self].front();
-      queues[self].pop_front();
-      return true;
-    }
-    size_t victim = queues.size();
-    size_t best = 0;
-    for (size_t i = 0; i < queues.size(); ++i) {
-      if (queues[i].size() > best) {
-        best = queues[i].size();
-        victim = i;
-      }
-    }
-    if (victim == queues.size()) {
-      return false;
-    }
-    *chunk = queues[victim].back();
-    queues[victim].pop_back();
-    return true;
-  };
-
-  // Ordered streaming fold: finished chunk partials wait (bounded by
-  // scheduling skew) until every lower-indexed chunk has folded, so the
-  // reduce order — and therefore every double sum — is independent of which
-  // worker ran what.
+  // Ordered streaming fold: a finished chunk's partial waits until every
+  // lower-indexed chunk has folded, so the reduce order — and therefore every
+  // double sum — is independent of which worker ran what. The pool hands
+  // chunks out in index order, so the partials waiting at any moment are
+  // bounded by the scheduling skew between workers, not by the fleet size.
   std::mutex fold_mu;
   std::map<uint64_t, std::vector<FleetGroupStats>> pending;
   uint64_t next_fold = 0;
-
-  auto worker_fn = [&, this](size_t self) {
-    uint64_t chunk = 0;
-    while (pop(self, &chunk)) {
-      std::vector<FleetGroupStats> partial = MakeAccumulators();
-      RunChunk(chunk, partial);
-      std::lock_guard<std::mutex> lock(fold_mu);
-      pending.emplace(chunk, std::move(partial));
-      while (!pending.empty() && pending.begin()->first == next_fold) {
-        std::vector<FleetGroupStats>& ready = pending.begin()->second;
-        for (size_t g = 0; g < result.groups.size(); ++g) {
-          result.groups[g].MergeFrom(ready[g]);
-        }
-        pending.erase(pending.begin());
-        ++next_fold;
+  const uint64_t chunks = num_chunks();
+  SweepRunner(config_.jobs).Dispatch(chunks, [&, this](size_t chunk) {
+    std::vector<FleetGroupStats> partial = MakeAccumulators();
+    RunChunk(chunk, partial);
+    std::lock_guard<std::mutex> lock(fold_mu);
+    pending.emplace(chunk, std::move(partial));
+    while (!pending.empty() && pending.begin()->first == next_fold) {
+      std::vector<FleetGroupStats>& ready = pending.begin()->second;
+      for (size_t g = 0; g < result.groups.size(); ++g) {
+        result.groups[g].MergeFrom(ready[g]);
       }
+      pending.erase(pending.begin());
+      ++next_fold;
     }
-  };
-
-  if (workers <= 1) {
-    worker_fn(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back(worker_fn, static_cast<size_t>(w));
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-  }
+  });
   ICE_CHECK_EQ(next_fold, chunks);
 
   for (const FleetGroupStats& g : result.groups) {

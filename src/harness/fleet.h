@@ -4,14 +4,19 @@
 // per-(policy x tier) mergeable histograms instead of per-device records —
 // a million cells cannot each write a JSON blob.
 //
-// Execution model: devices are grouped into fixed-size chunks and the chunks
-// are fed to a work-stealing job pool — each worker owns a deque of chunks
-// and steals from the fullest victim when its own runs dry, so stragglers
-// (e.g. an entry-tier device thrashing through LMK) do not idle the other
-// cores. Each chunk accumulates its own partial FleetGroupStats; finished
-// partials are folded into the global aggregate *in chunk-index order*
-// ("ordered streaming fold"), so memory stays bounded by the scheduling
-// skew, never by N.
+// Execution model: devices are grouped into fixed-size chunks, and the
+// chunks run on the sweep worker pool (SweepRunner::Dispatch), whose workers
+// take chunk indices from one atomic counter, in increasing order. A worker
+// that finishes a chunk takes the next index, so a straggler (e.g. an
+// entry-tier device thrashing through LMK) does not idle the other cores.
+// Each chunk accumulates its own partial FleetGroupStats; finished partials
+// are folded into the global aggregate *in chunk-index order* ("ordered
+// streaming fold"). Because chunks also start in index order, a partial
+// waits only for lower-indexed chunks still running, so the partials
+// waiting to fold are bounded by the scheduling skew between workers, never
+// by N. Measured at 2,000 devices (65 chunks) and --jobs=4: at most 3
+// partials waited, against 49 when each worker owned a contiguous block of
+// chunks (DESIGN.md "Fleet runs").
 //
 // Determinism contract (shard-independent): a device's results depend only
 // on its index (tier, scheme, seed are all pure functions of it), and the

@@ -1,81 +1,12 @@
 #include "src/harness/fleet_report.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
-#include "src/base/log.h"
+#include "src/base/json.h"
 
 namespace ice {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// %.17g round-trips an IEEE double exactly, so reports are byte-identical
-// across runs whenever the aggregates are.
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// A histogram serializes as its summary statistics plus the sparse list of
-// non-empty buckets — enough to re-plot the distribution without ever
-// materializing per-device samples.
-void AppendHistogram(std::ostringstream& out, const char* key,
-                     const MergeHistogram& h) {
-  out << "\"" << key << "\": {\"count\": " << h.count();
-  if (h.count() > 0) {
-    out << ", \"sum\": " << JsonNum(h.Sum()) << ", \"min\": " << JsonNum(h.Min())
-        << ", \"max\": " << JsonNum(h.Max())
-        << ", \"p50\": " << JsonNum(h.Percentile(0.5))
-        << ", \"p90\": " << JsonNum(h.Percentile(0.9))
-        << ", \"p99\": " << JsonNum(h.Percentile(0.99)) << ", \"buckets\": [";
-    bool first = true;
-    for (size_t i = 0; i < h.num_buckets(); ++i) {
-      if (h.bucket_count(i) == 0) {
-        continue;
-      }
-      if (!first) {
-        out << ", ";
-      }
-      first = false;
-      out << "[" << i << ", " << h.bucket_count(i) << "]";
-    }
-    out << "]";
-  }
-  out << "}";
-}
 
 void AppendGroup(std::ostringstream& out, const FleetGroupStats& g,
                  bool include_swap) {
@@ -87,18 +18,18 @@ void AppendGroup(std::ostringstream& out, const FleetGroupStats& g,
         << ", \"first_error\": \"" << JsonEscape(g.first_error) << "\"";
   }
   out << ",\n     ";
-  AppendHistogram(out, "frame_latency_us", g.frame_latency_us);
+  AppendJsonHistogram(out, "frame_latency_us", g.frame_latency_us);
   out << ",\n     ";
-  AppendHistogram(out, "fps", g.fps);
+  AppendJsonHistogram(out, "fps", g.fps);
   out << ",\n     ";
-  AppendHistogram(out, "ria", g.ria);
+  AppendJsonHistogram(out, "ria", g.ria);
   out << ",\n     ";
-  AppendHistogram(out, "refaults", g.refaults);
+  AppendJsonHistogram(out, "refaults", g.refaults);
   out << ",\n     ";
-  AppendHistogram(out, "lmk_kills", g.lmk_kills);
+  AppendJsonHistogram(out, "lmk_kills", g.lmk_kills);
   if (include_swap) {
     out << ",\n     ";
-    AppendHistogram(out, "zram_compressed_bytes", g.zram_compressed_bytes);
+    AppendJsonHistogram(out, "zram_compressed_bytes", g.zram_compressed_bytes);
   }
   out << ",\n     \"total_frames\": " << g.total_frames
       << ", \"total_refaults\": " << g.total_refaults
@@ -137,20 +68,7 @@ std::string FleetReportJson(const std::string& name, const FleetResult& result) 
 
 std::string WriteFleetReport(const std::string& name, const FleetResult& result,
                              const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    ICE_LOG(kError) << "cannot create " << dir << ": " << ec.message();
-    return "";
-  }
-  std::string path = dir + "/FLEET_" + name + ".json";
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    ICE_LOG(kError) << "cannot open " << path;
-    return "";
-  }
-  file << FleetReportJson(name, result);
-  return path;
+  return WriteJsonFile(dir + "/FLEET_" + name + ".json", FleetReportJson(name, result));
 }
 
 }  // namespace ice

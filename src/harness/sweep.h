@@ -78,6 +78,23 @@ struct SweepOutcome {
 
 using CellOutcome = SweepOutcome<ScenarioResult>;
 
+// Runs body(). If it throws, stores what() ("unknown exception" for a
+// non-std exception) in *error and returns false. Sweep cells and fleet
+// devices both fail through here, so one bad unit of work is reported
+// without taking its worker or its siblings down.
+template <typename Body>
+bool CaptureFailure(Body&& body, std::string* error) {
+  try {
+    body();
+    return true;
+  } catch (const std::exception& e) {
+    *error = e.what();
+  } catch (...) {
+    *error = "unknown exception";
+  }
+  return false;
+}
+
 // Worker count: ICE_JOBS env override, else hardware concurrency (min 1).
 int DefaultSweepJobs();
 
@@ -95,17 +112,15 @@ class SweepRunner {
   std::vector<SweepOutcome<T>> Map(size_t n, const std::function<T(size_t)>& fn) const {
     std::vector<SweepOutcome<T>> out(n);
     Dispatch(n, [&](size_t i) {
-      try {
-        out[i].value = fn(i);
-        out[i].ok = true;
-      } catch (const std::exception& e) {
-        out[i].error = e.what();
-      } catch (...) {
-        out[i].error = "unknown exception";
-      }
+      out[i].ok = CaptureFailure([&] { out[i].value = fn(i); }, &out[i].error);
     });
     return out;
   }
+
+  // Runs task(i) for every i in [0, n) on min(jobs, n) workers, which take
+  // indices from one atomic counter, so they are handed out in increasing
+  // order. task must not throw. Fleets run their chunks through this too.
+  void Dispatch(size_t n, const std::function<void(size_t)>& task) const;
 
   // Runs every cell on the pool through RunCell.
   // `share_prefix` selects nothing; it remains only because bench/e2e passes it.
@@ -122,9 +137,6 @@ class SweepRunner {
   static int NormalizedBg(const SweepCell& cell);
 
  private:
-  // Runs task(i) for all i; task is expected not to throw.
-  void Dispatch(size_t n, const std::function<void(size_t)>& task) const;
-
   int jobs_;
 };
 

@@ -1,81 +1,14 @@
 #include "src/harness/sweep_report.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
+#include "src/base/json.h"
 #include "src/base/log.h"
 #include "src/trace/summary.h"
 
 namespace ice {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// %.17g round-trips an IEEE double exactly, so reports are byte-identical
-// across runs whenever the metrics are.
-std::string JsonNum(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-// Same histogram serialization the fleet report uses: summary statistics
-// plus the sparse list of non-empty buckets.
-void AppendHistogram(std::ostringstream& out, const char* key,
-                     const MergeHistogram& h) {
-  out << "\"" << key << "\": {\"count\": " << h.count();
-  if (h.count() > 0) {
-    out << ", \"sum\": " << JsonNum(h.Sum()) << ", \"min\": " << JsonNum(h.Min())
-        << ", \"max\": " << JsonNum(h.Max())
-        << ", \"p50\": " << JsonNum(h.Percentile(0.5))
-        << ", \"p90\": " << JsonNum(h.Percentile(0.9))
-        << ", \"p99\": " << JsonNum(h.Percentile(0.99)) << ", \"buckets\": [";
-    bool first = true;
-    for (size_t i = 0; i < h.num_buckets(); ++i) {
-      if (h.bucket_count(i) == 0) {
-        continue;
-      }
-      if (!first) {
-        out << ", ";
-      }
-      first = false;
-      out << "[" << i << ", " << h.bucket_count(i) << "]";
-    }
-    out << "]";
-  }
-  out << "}";
-}
 
 void AppendCell(std::ostringstream& out, const SweepCell& cell,
                 const CellOutcome& outcome) {
@@ -118,7 +51,7 @@ void AppendCell(std::ostringstream& out, const SweepCell& cell,
         << ", \"swap_writeback_pages\": " << r.swap_writeback_pages
         << ", \"swap_stores_fast\": " << r.swap_stores_fast
         << ", \"swap_stores_dense\": " << r.swap_stores_dense << ", ";
-    AppendHistogram(out, "zram_compressed_bytes", r.zram_compressed_bytes);
+    AppendJsonHistogram(out, "zram_compressed_bytes", r.zram_compressed_bytes);
   }
   out << ", \"fps_series\": [";
   for (size_t i = 0; i < r.fps_series.size(); ++i) {
@@ -156,20 +89,8 @@ std::string WriteSweepReport(const std::string& name, int jobs,
                              const std::vector<SweepCell>& cells,
                              const std::vector<CellOutcome>& outcomes,
                              const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    ICE_LOG(kError) << "cannot create " << dir << ": " << ec.message();
-    return "";
-  }
-  std::string path = dir + "/" + name + ".json";
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    ICE_LOG(kError) << "cannot open " << path;
-    return "";
-  }
-  file << SweepReportJson(name, jobs, cells, outcomes);
-  return path;
+  return WriteJsonFile(dir + "/" + name + ".json",
+                       SweepReportJson(name, jobs, cells, outcomes));
 }
 
 }  // namespace ice

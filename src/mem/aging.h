@@ -24,10 +24,6 @@ namespace ice {
 
 enum class AgingPolicy : uint8_t { kTwoList, kGenClock };
 
-inline const char* AgingPolicyName(AgingPolicy policy) {
-  return policy == AgingPolicy::kGenClock ? "gen_clock" : "two_list";
-}
-
 // Parses the CLI/config spelling. Returns false (and leaves *out untouched)
 // for unknown names so callers own the error surface.
 inline bool AgingPolicyFromName(const std::string& name, AgingPolicy* out) {

@@ -31,10 +31,6 @@ namespace ice {
 
 enum class SwapPolicy : uint8_t { kBaseline, kHotness };
 
-inline const char* SwapPolicyName(SwapPolicy policy) {
-  return policy == SwapPolicy::kHotness ? "hotness" : "baseline";
-}
-
 // Parses the CLI/config spelling. Returns false (and leaves *out untouched)
 // for unknown names so callers own the error surface.
 inline bool SwapPolicyFromName(const std::string& name, SwapPolicy* out) {

@@ -1,12 +1,10 @@
 #include "src/trace/chrome_export.h"
 
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
 
-#include "src/base/log.h"
+#include "src/base/json.h"
 
 namespace ice {
 
@@ -24,18 +22,6 @@ constexpr int kTidKswapd = 1;
 constexpr int kTidDirect = 2;
 constexpr int kTidMemEvents = 3;
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 class JsonEvents {
  public:
   std::ostringstream& Next() {
@@ -48,7 +34,7 @@ class JsonEvents {
 
   void Meta(int pid, int tid, const char* key, const std::string& name) {
     Next() << "  {\"ph\": \"M\", \"pid\": " << pid << ", \"tid\": " << tid
-           << ", \"name\": \"" << key << "\", \"args\": {\"name\": \"" << Escape(name)
+           << ", \"name\": \"" << key << "\", \"args\": {\"name\": \"" << JsonEscape(name)
            << "\"}}";
   }
 
@@ -56,14 +42,14 @@ class JsonEvents {
                 const std::string& args) {
     Next() << "  {\"ph\": \"X\", \"pid\": " << pid << ", \"tid\": " << tid
            << ", \"ts\": " << ts << ", \"dur\": " << dur << ", \"name\": \""
-           << Escape(name) << "\"" << (args.empty() ? "" : ", \"args\": {" + args + "}")
+           << JsonEscape(name) << "\"" << (args.empty() ? "" : ", \"args\": {" + args + "}")
            << "}";
   }
 
   void Instant(int pid, int tid, SimTime ts, const std::string& name,
                const std::string& args) {
     Next() << "  {\"ph\": \"i\", \"s\": \"t\", \"pid\": " << pid << ", \"tid\": " << tid
-           << ", \"ts\": " << ts << ", \"name\": \"" << Escape(name) << "\""
+           << ", \"ts\": " << ts << ", \"name\": \"" << JsonEscape(name) << "\""
            << (args.empty() ? "" : ", \"args\": {" + args + "}") << "}";
   }
 
@@ -71,7 +57,7 @@ class JsonEvents {
              uint64_t id, const std::string& name, const std::string& args) {
     Next() << "  {\"ph\": \"" << phase << "\", \"pid\": " << pid << ", \"tid\": " << tid
            << ", \"ts\": " << ts << ", \"cat\": \"" << cat << "\", \"id\": " << id
-           << ", \"name\": \"" << Escape(name) << "\""
+           << ", \"name\": \"" << JsonEscape(name) << "\""
            << (args.empty() ? "" : ", \"args\": {" + args + "}") << "}";
   }
 
@@ -239,23 +225,7 @@ std::string ChromeTraceJson(const Tracer& tracer) {
 }
 
 std::string WriteChromeTrace(const std::string& path, const Tracer& tracer) {
-  std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
-    if (ec) {
-      ICE_LOG(kError) << "cannot create " << p.parent_path().string() << ": "
-                      << ec.message();
-      return "";
-    }
-  }
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    ICE_LOG(kError) << "cannot open " << path;
-    return "";
-  }
-  file << ChromeTraceJson(tracer);
-  return path;
+  return WriteJsonFile(path, ChromeTraceJson(tracer));
 }
 
 }  // namespace ice

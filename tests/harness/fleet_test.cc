@@ -58,6 +58,16 @@ TEST(FleetRunnerTest, DefaultTiersAndAutoChunkResolve) {
   EXPECT_EQ(FleetRunner(tiny).chunk_size(), 1u);
 }
 
+// Both policy axes are rejected up front, not inside a worker's first device.
+TEST(FleetRunnerDeathTest, UnknownPolicyNamesFailAtConstruction) {
+  FleetConfig bad_aging = SmokeConfig();
+  bad_aging.aging = "lru_k";
+  EXPECT_DEATH(FleetRunner{bad_aging}, "unknown aging policy: lru_k");
+  FleetConfig bad_swap = SmokeConfig();
+  bad_swap.swap = "zswap";
+  EXPECT_DEATH(FleetRunner{bad_swap}, "unknown swap policy: zswap");
+}
+
 TEST(FleetRunnerTest, EmptyFleetProducesEmptyGroups) {
   FleetConfig c = SmokeConfig();
   c.devices = 0;

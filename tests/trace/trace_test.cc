@@ -90,6 +90,18 @@ TEST(Tracer, TaskNameTable) {
   EXPECT_EQ(tracer.TaskName(99), "task");
 }
 
+// Task names come from app packages and feed the exported JSON verbatim, so
+// the exporter must escape them: a raw newline would make the file invalid.
+TEST(ChromeExport, EscapesQuoteAndNewlineInTaskNames) {
+  Tracer tracer(1);
+  tracer.RegisterTaskName(5, "bad\"name\nhere");
+  tracer.Emit(10, TraceEventType::kSchedSwitch, {.core = 0, .arg0 = 5});
+  tracer.Emit(20, TraceEventType::kSchedSwitch, {.core = 0, .arg0 = 0});
+  const std::string json = ChromeTraceJson(tracer);
+  EXPECT_NE(json.find("\"name\": \"bad\\\"name\\nhere\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("name\nhere"), std::string::npos);
+}
+
 TEST(Tracer, SerializeIsOnePerLinePlusFooter) {
   Tracer tracer(1);
   tracer.Emit(10, TraceEventType::kFreeze, {.uid = 10007});
