@@ -77,10 +77,12 @@ void MemoryManager::SyncZramFrames() {
 }
 
 void MemoryManager::Register(AddressSpace& space) {
-  // Lazy population: pages enter the system on first touch.
-  for (PageInfo& p : space.pages()) {
-    ICE_CHECK(p.state() == PageState::kUntouched);
-  }
+  // Lazy population: pages enter the system on first touch, so a new space
+  // is registered once and holds nothing yet.
+  ICE_CHECK(space.space_id() == kInvalidSpaceId)
+      << "address space " << space.space_id() << " is already registered";
+  ICE_CHECK(space.resident() == 0 && space.evicted() == 0)
+      << "registering an address space that already holds pages";
   space.set_space_id(next_space_id_++);
   space.lru().set_aging(config_.aging);
   spaces_.push_back(&space);

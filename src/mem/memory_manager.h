@@ -164,7 +164,8 @@ class MemoryManager {
   // ---- Process lifecycle ---------------------------------------------------
 
   // Registers a new address space; its pages join the system lazily on first
-  // touch.
+  // touch. A space is registered once, before anything in it is resident or
+  // evicted (ICE_CHECKed in O(1)).
   void Register(AddressSpace& space);
   // Releases every frame/zram slot held by `space` (process killed or exit).
   void Release(AddressSpace& space);

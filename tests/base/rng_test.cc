@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <vector>
 
-#include "src/base/binary_stream.h"
+#include "tests/base/zipf_reference.h"
 
 namespace ice {
 namespace {
@@ -65,6 +69,37 @@ TEST(Rng, RangeInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
+// Spans wider than INT64_MAX: the span and lo + offset must be computed
+// without signed overflow (UBSan reports it as undefined behaviour).
+TEST(Rng, RangeFullAndHalfDomainSpans) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // The full domain takes one Next64, reinterpreted.
+  Rng rng(47), twin(47);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(rng.Range(kMin, kMax), std::bit_cast<int64_t>(twin.Next64()));
+  }
+  struct Span {
+    int64_t lo, hi;
+  };
+  for (Span span : {Span{kMin, -1}, Span{kMin, 0}, Span{-1, kMax}, Span{0, kMax},
+                    Span{kMin / 2, kMax / 2 + 1}, Span{kMin + 1, kMax}}) {
+    SCOPED_TRACE(testing::Message() << "[" << span.lo << ", " << span.hi << "]");
+    // Midpoint of the span, computed without overflow.
+    const int64_t mid = span.lo / 2 + span.hi / 2;
+    bool saw_low = false, saw_high = false;
+    for (int i = 0; i < 1000; ++i) {
+      int64_t v = rng.Range(span.lo, span.hi);
+      ASSERT_GE(v, span.lo);
+      ASSERT_LE(v, span.hi);
+      saw_low |= v < mid;
+      saw_high |= v > mid;
+    }
+    EXPECT_TRUE(saw_low);
+    EXPECT_TRUE(saw_high);
+  }
+}
+
 TEST(Rng, NextDoubleInUnitInterval) {
   Rng rng(5);
   for (int i = 0; i < 10000; ++i) {
@@ -121,33 +156,6 @@ TEST(Rng, ExponentialMean) {
   EXPECT_NEAR(sum / kSamples, 250.0, 5.0);
 }
 
-// The rank formula as Rng::Zipf evaluated it before ZipfDist hoisted the
-// per-(n, s) constants: both pows on every draw. Kept as the golden
-// reference, because simulation outputs depend on every rank bit.
-uint64_t ReferenceZipf(Rng& rng, uint64_t n, double s) {
-  if (n <= 1) {
-    return 0;
-  }
-  double u = rng.NextDouble();
-  if (s == 1.0) {
-    double h = std::log(static_cast<double>(n));
-    uint64_t r = static_cast<uint64_t>(std::exp(u * h)) - 1;
-    return r >= n ? n - 1 : r;
-  }
-  double one_minus_s = 1.0 - s;
-  double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
-  double x = std::pow(u * hn * one_minus_s + 1.0, 1.0 / one_minus_s);
-  uint64_t r = static_cast<uint64_t>(x) - (x >= 1.0 ? 1 : 0);
-  return r >= n ? n - 1 : r;
-}
-
-std::vector<uint8_t> StateBytes(Rng& rng) {
-  BinaryWriter w;
-  SnapshotArchive ar(w);
-  rng.Transfer(ar);
-  return w.Finish();
-}
-
 TEST(ZipfDist, MatchesReferenceFormulaBitExact) {
   for (double s : {0.05, 0.55, 0.7, 0.9, 1.0}) {
     for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{1000},
@@ -160,6 +168,104 @@ TEST(ZipfDist, MatchesReferenceFormulaBitExact) {
       }
       EXPECT_EQ(StateBytes(rng), StateBytes(ref));
     }
+  }
+}
+
+// The exponents 1 / (1 - s) as ZipfDist computes them.
+double ExponentOf(double s) { return 1.0 / (1.0 - s); }
+
+TEST(PowTable, OnlyTheExponentsThatCarryDraws) {
+  for (double s : {0.05, 0.55, 0.7}) {
+    const PowTable* table = PowTable::For(ExponentOf(s));
+    ASSERT_NE(table, nullptr) << "s=" << s;
+    EXPECT_EQ(table->exponent(), ExponentOf(s));
+    EXPECT_GT(table->bound(), 0.0);
+    EXPECT_LT(table->bound(), 1e-10);
+  }
+  EXPECT_EQ(PowTable::For(ExponentOf(0.9)), nullptr);
+  EXPECT_EQ(PowTable::For(2.0), nullptr);
+  // Outside the table: below 1 and beyond its octaves.
+  const PowTable* table = PowTable::For(ExponentOf(0.55));
+  EXPECT_EQ(table->Floor(0.75), 0u);
+  EXPECT_EQ(table->Floor(std::ldexp(1.0, table->octaves())), 0u);
+  EXPECT_EQ(table->Floor(-3.0), 0u);
+}
+
+// Every table against long double powl, at no fewer than 1M points per
+// table covering every segment of every octave it holds (the workloads reach
+// octaves 0-15 at s = 0.05, 0-7 at 0.55 and 0-4 at 0.7): each segment's two
+// ends and uniform points between them.
+TEST(PowTable, StaysWithinItsDerivedBound) {
+  Rng rng(53);
+  for (double s : {0.05, 0.55, 0.7}) {
+    const PowTable* table = PowTable::For(ExponentOf(s));
+    ASSERT_NE(table, nullptr);
+    const long double e = table->exponent();
+    const int segments = table->octaves() * PowTable::kSegments;
+    const int per_segment = 1'000'000 / segments + 1;
+    long double worst = 0;
+    for (int seg = 0; seg < segments; ++seg) {
+      const int octave = seg / PowTable::kSegments;
+      const double begin = std::ldexp(1.0 + (seg % PowTable::kSegments) / 64.0, octave);
+      const double end = std::ldexp(1.0 + (seg % PowTable::kSegments + 1) / 64.0, octave);
+      for (int i = 0; i < per_segment; ++i) {
+        double y = i == 0   ? begin
+                   : i == 1 ? std::nextafter(end, 0.0)
+                            : begin + (end - begin) * rng.NextDouble();
+        const long double exact = std::pow(static_cast<long double>(y), e);
+        const long double err = std::fabs(table->Approx(y) - exact) / exact;
+        worst = std::max(worst, err);
+        ASSERT_LE(err, table->bound()) << "s=" << s << " y=" << y;
+      }
+    }
+    std::printf("[ pow table ] s=%.2f octaves=%d bound=%.3g worst=%.3g (%d points)\n", s,
+                table->octaves(), table->bound(), static_cast<double>(worst),
+                segments * per_segment);
+  }
+}
+
+// Drives y into the guard band and across its edges. For every integer K in
+// [2, 2^20]: y within two ULPs of K^(1 / e), where y^e is within a few ULPs
+// of K, and y moved so that y^e sits 2^-48 to 2^-36 (relative) from K, on
+// either side, which brackets every table's band. Wherever the table answers,
+// it must answer floor(std::pow(y, e)); each exponent must fall back at least
+// once and answer at least once.
+TEST(PowTable, GuardBandKeepsRanksOfNearIntegers) {
+  for (double s : {0.05, 0.55, 0.7}) {
+    const PowTable* table = PowTable::For(ExponentOf(s));
+    ASSERT_NE(table, nullptr);
+    const double e = table->exponent();
+    const long double inv_e = 1.0L / static_cast<long double>(e);
+    uint64_t answered = 0;
+    uint64_t fallbacks = 0;
+    auto check = [&](double y, uint64_t k) {
+      const uint64_t got = table->Floor(y);
+      if (got == 0) {
+        ++fallbacks;
+        return true;
+      }
+      ++answered;
+      const uint64_t expect = static_cast<uint64_t>(std::pow(y, e));
+      EXPECT_EQ(got, expect) << "s=" << s << " K=" << k << " y=" << y;
+      return got == expect;
+    };
+    for (uint64_t k = 2; k <= (uint64_t{1} << 20); ++k) {
+      const long double root = std::pow(static_cast<long double>(k), inv_e);
+      double y = std::nextafter(std::nextafter(static_cast<double>(root), 0.0), 0.0);
+      for (int step = 0; step < 5; ++step, y = std::nextafter(y, 4.0 * y)) {
+        ASSERT_TRUE(check(y, k));
+      }
+      for (int j = 48; j >= 36; j -= 4) {
+        const long double rel = std::ldexp(1.0L, -j) * inv_e;  // y^e moves by ~2^-j.
+        ASSERT_TRUE(check(static_cast<double>(root * (1 + rel)), k));
+        ASSERT_TRUE(check(static_cast<double>(root * (1 - rel)), k));
+      }
+    }
+    std::printf("[ guard band ] s=%.2f answered=%llu fallbacks=%llu\n", s,
+                static_cast<unsigned long long>(answered),
+                static_cast<unsigned long long>(fallbacks));
+    EXPECT_GT(fallbacks, 0u) << "s=" << s;
+    EXPECT_GT(answered, 0u) << "s=" << s;
   }
 }
 

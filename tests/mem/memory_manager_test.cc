@@ -65,6 +65,19 @@ TEST_F(MemoryManagerTest, ArenaAccountingTracksLiveAndPeak) {
   EXPECT_EQ(mm_.arena_bytes_peak(), both);
 }
 
+// A second Register of the same space would give it a second id and leave
+// arena_bytes_live() one arena too high after Release.
+TEST(MemoryManagerDeathTest, DoubleRegistrationIsRejected) {
+  Engine engine{1};
+  BlockDevice storage(engine, Ufs21Profile());
+  MemoryManager mm(engine, TinyConfig(), &storage);
+  AddressSpace space(1, 1, "a", Layout(40, 40, 20));
+  mm.Register(space);
+  EXPECT_DEATH(mm.Register(space), "already registered");
+  mm.Release(space);
+  EXPECT_EQ(mm.arena_bytes_live(), 0u);
+}
+
 TEST_F(MemoryManagerTest, FirstTouchConsumesFrame) {
   AddressSpace space(1, 1, "a", Layout(10, 10, 10));
   mm_.Register(space);

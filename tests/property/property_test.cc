@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <map>
+#include <tuple>
 
 #include "src/android/activity_manager.h"
 #include "src/base/rng.h"
@@ -15,6 +18,7 @@
 #include "src/proc/scheduler.h"
 #include "src/proc/task.h"
 #include "src/storage/flash_profiles.h"
+#include "tests/base/zipf_reference.h"
 
 namespace ice {
 namespace {
@@ -478,6 +482,46 @@ TEST_P(MdtEquationProperty, FreezeDurationBoundedAndMonotoneInPressure) {
 
 INSTANTIATE_TEST_SUITE_P(Deltas, MdtEquationProperty,
                          ::testing::Values(0.0, 0.25, 1.0, 8.0, 64.0, 1e6, 1e18));
+
+// ---------------------------------------------------------------------------
+// Zipf draws through the pow tables: 10M twin-seeded draws for each (s, n)
+// the benchmark workloads draw from must give the two-pow reference's rank,
+// draw by draw, and leave both generators with the same Transfer bytes.
+// s = 0.55 is the foreground scenario's, 0.05 and 0.7 the background
+// bursts'; n spans the hot-set sizes of the Fig. 9 sweep (3,072 to 94,195)
+// and the largest a fleet device draws from (133,900). Prints how many
+// draws fell back to std::pow.
+// ---------------------------------------------------------------------------
+
+class ZipfTableProperty : public ::testing::TestWithParam<std::tuple<double, uint64_t>> {};
+
+TEST_P(ZipfTableProperty, RanksMatchTwoPowReference) {
+  constexpr int kDraws = 10'000'000;
+  const auto [s, n] = GetParam();
+  const double one_minus_s = 1.0 - s;
+  const PowTable* table = PowTable::For(1.0 / one_minus_s);
+  ASSERT_NE(table, nullptr);
+  const double hn = (std::pow(static_cast<double>(n), one_minus_s) - 1.0) / one_minus_s;
+  const uint64_t seed = n * 1000 + static_cast<uint64_t>(s * 100);
+  Rng rng(seed), ref(seed);
+  ZipfDist zipf(n, s);
+  uint64_t fallbacks = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    Rng peek = ref;  // Replays the draw's u to see whether it took the table.
+    fallbacks += table->Floor(peek.NextDouble() * hn * one_minus_s + 1.0) == 0 ? 1 : 0;
+    ASSERT_EQ(zipf.Sample(rng), ReferenceZipf(ref, n, s)) << "draw " << i;
+  }
+  EXPECT_EQ(StateBytes(rng), StateBytes(ref));
+  std::printf("[ zipf ] s=%.2f n=%llu draws=%d fallbacks=%llu\n", s,
+              static_cast<unsigned long long>(n), kDraws,
+              static_cast<unsigned long long>(fallbacks));
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkloadPairs, ZipfTableProperty,
+                         ::testing::Combine(::testing::Values(0.05, 0.55, 0.7),
+                                            ::testing::Values(uint64_t{3072}, uint64_t{12840},
+                                                              uint64_t{63641}, uint64_t{94195},
+                                                              uint64_t{133900})));
 
 // ---------------------------------------------------------------------------
 // Determinism: identical seeds give identical end-to-end results.
