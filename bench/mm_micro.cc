@@ -264,6 +264,8 @@ void BeginFault(PackedFixture& f, uint32_t vpn) {
 }
 void FinishFault(LegacyFixture& f, uint32_t vpn) { f.book.Finish(&f.lru, vpn); }
 void FinishFault(PackedFixture& f, uint32_t vpn) { f.book.Finish(PageHandle(0, vpn).packed); }
+uint32_t VpnOf(LegacyFixture&, const LegacyPageInfo* p) { return p->vpn; }
+uint32_t VpnOf(PackedFixture& f, const PageInfo* p) { return f.space.VpnOf(*p); }
 
 // Populates the LRU in a random vpn permutation. On a real device the LRU
 // order decorrelates from address order within minutes of uptime (faults,
@@ -434,8 +436,9 @@ void ReclaimScan(benchmark::State& state) {
         for (auto* page : fix.scratch) {
           EvictRecord(page, ++seq);
           isolated += RefaultRecord(page);
-          BeginFault(fix, page->vpn);
-          refault_vpns[refaults++] = page->vpn;
+          const uint32_t vpn = VpnOf(fix, page);
+          BeginFault(fix, vpn);
+          refault_vpns[refaults++] = vpn;
           lru.Insert(page);
         }
       }

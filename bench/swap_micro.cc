@@ -89,8 +89,6 @@ struct SideTableFixture {
   explicit SideTableFixture(uint32_t pages)
       : arena(pages), book(HotnessConfig()) {
     for (uint32_t i = 0; i < pages; ++i) {
-      arena[i].vpn = i;
-      arena[i].set_kind(HeapKind::kNativeHeap);
       arena[i].set_state(PageState::kPresent);
     }
   }
@@ -110,8 +108,6 @@ struct SideTableFixture {
 struct PackedFixture {
   explicit PackedFixture(uint32_t pages) : arena(pages), gov(HotnessConfig()) {
     for (uint32_t i = 0; i < pages; ++i) {
-      arena[i].vpn = i;
-      arena[i].set_kind(HeapKind::kNativeHeap);
       arena[i].set_state(PageState::kPresent);
     }
   }

@@ -20,8 +20,10 @@ ActivityManager::ActivityManager(Engine& engine, Scheduler& scheduler, MemoryMan
     : engine_(engine), scheduler_(scheduler), mm_(mm), freezer_(freezer) {}
 
 ActivityManager::~ActivityManager() {
-  // Unlink every live page from the memory manager's LRU lists before the
-  // address spaces are destroyed.
+  // The memory manager must not point at the address spaces destroyed with
+  // this object. A device that ends has its manager forget them first
+  // (MemoryManager::ForgetSpaces), which makes these calls no-ops; one that
+  // outlives this object gets its live pages back.
   for (AppEntry& e : entries_) {
     if (e.main_process != nullptr) {
       mm_.Release(e.main_process->space());

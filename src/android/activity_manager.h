@@ -69,7 +69,7 @@ class ActivityManager {
 
   ActivityManager(Engine& engine, Scheduler& scheduler, MemoryManager& mm, Freezer& freezer);
   // Releases every live process's memory back to the MemoryManager (which
-  // must outlive this object).
+  // must outlive this object) unless the manager has forgotten the spaces.
   ~ActivityManager();
 
   ActivityManager(const ActivityManager&) = delete;

@@ -133,7 +133,12 @@ Experiment::Experiment(const ExperimentConfig& config,
   }
 }
 
-Experiment::~Experiment() = default;
+Experiment::~Experiment() {
+  // The whole device dies here, spaces and memory manager together, so the
+  // manager forgets its spaces instead of ~ActivityManager releasing them
+  // page by page.
+  mm_->ForgetSpaces();
+}
 
 Uid Experiment::UidOf(const std::string& package) const {
   for (size_t i = 0; i < catalog_.size(); ++i) {

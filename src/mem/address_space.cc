@@ -4,8 +4,8 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstring>
 #include <new>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -80,12 +80,9 @@ AddressSpace::AddressSpace(Pid pid, Uid uid, std::string name, const AddressSpac
     : pid_(pid), uid_(uid), name_(std::move(name)), layout_(layout) {
   page_count_ = layout.total();
   if (page_count_ > 0) {
+    // Zero bytes are fresh records (PageInfo is implicit-lifetime), so the
+    // mapping is the construction: no record is written here.
     pages_ = MapArena(page_count_ * sizeof(PageInfo));
-  }
-  for (uint32_t vpn = 0; vpn < page_count_; ++vpn) {
-    PageInfo& p = *new (pages_.get() + vpn) PageInfo();
-    p.vpn = vpn;
-    p.set_kind(KindOf(vpn));
   }
   lru_.BindArena(this, pages_.get(), page_count_);
 }
@@ -100,16 +97,6 @@ const PageInfo& AddressSpace::page(uint32_t vpn) const {
   return pages_[vpn];
 }
 
-HeapKind AddressSpace::KindOf(uint32_t vpn) const {
-  if (vpn < java_end()) {
-    return HeapKind::kJavaHeap;
-  }
-  if (vpn < native_end()) {
-    return HeapKind::kNativeHeap;
-  }
-  return HeapKind::kFile;
-}
-
 void AddressSpace::AddResident(int64_t delta) {
   int64_t next = static_cast<int64_t>(resident_) + delta;
   ICE_CHECK_GE(next, 0);
@@ -122,53 +109,53 @@ void AddressSpace::AddEvicted(int64_t delta) {
   evicted_ = static_cast<PageCount>(next);
 }
 
-// The arena dumps as raw bytes: links are vpn indices, not pointers.
 static_assert(std::is_trivially_copyable_v<PageInfo>,
-              "PageInfo must stay raw-dumpable for snapshots");
+              "PageInfo must stay plain data for the snapshot image");
 
 namespace {
 
-// A freshly-constructed page record (zeroed padding, like the arena
-// constructor produces) used as the byte reference for the sparse dump.
-struct FreshRecord {
-  alignas(alignof(PageInfo)) unsigned char bytes[sizeof(PageInfo)] = {};
-
-  explicit FreshRecord(HeapKind kind) {
-    PageInfo* p = new (bytes) PageInfo();
-    p->set_kind(kind);
-  }
-
-  bool Matches(const PageInfo& record, uint32_t vpn) {
-    reinterpret_cast<PageInfo*>(bytes)->vpn = vpn;
-    return std::memcmp(bytes, &record, sizeof(PageInfo)) == 0;
-  }
+// A page record as snapshot format v2 stores it: the in-memory record of
+// the format's first release, which also carried its vpn and heap kind, and
+// kNoPage links on every record that was not on a two-list LRU list.
+struct V2Record {
+  uint32_t prev = kNoPage;
+  uint32_t next = kNoPage;
+  uint32_t vpn = 0;
+  uint32_t zram_bytes = 0;
+  uint64_t evict_cookie = 0;
+  uint16_t bits = 0;  // PageInfo's flag word with the heap kind in bits 3-4.
+  uint8_t zero[6] = {};
 };
+static_assert(sizeof(V2Record) == 32 && std::is_trivially_copyable_v<V2Record>);
+
+constexpr int kV2KindShift = 3;
+constexpr uint16_t kV2KindBits = 0x3 << kV2KindShift;
+
+// Whether a record is fresh: all zero. Off the two-list lists the links are
+// zero (LruLists::Unlink), so this is exactly a record whose v2 image is the
+// fresh record's, the ones the sparse dump leaves out.
+bool IsFresh(const PageInfo& p) {
+  return p.bits() == 0 && p.zram_bytes == 0 && p.evict_cookie == 0 && p.lru.prev == 0 &&
+         p.lru.next == 0;
+}
 
 }  // namespace
 
 void AddressSpace::Transfer(SnapshotArchive& ar) {
   ar.Expect<uint32_t>(space_id_, "address-space id");
   ar.Expect<uint64_t>(page_count_, "address-space page count");
-  // Sparse arena dump: only runs of records that differ from their
-  // freshly-constructed state, as {u32 first vpn, u32 count, raw records}
-  // extents. Typically half of an arena is untouched VA whose records are
-  // byte-identical to what the constructor rebuilds, so shipping them would
-  // double the stream for nothing — arena payload dominates snapshot size.
-  // On restore the arena was freshly constructed by the lifecycle replay, so
-  // every record outside the extents already holds its saved (fresh) bytes.
+  // Sparse arena dump: only runs of records that are not fresh, as {u32
+  // first vpn, u32 count, v2 records} extents. Typically half of an arena is
+  // untouched VA, so shipping it would double the stream for nothing — arena
+  // payload dominates snapshot size. On restore the arena was freshly
+  // constructed by the lifecycle replay, so every record outside the
+  // extents already holds its saved (fresh) state.
   std::vector<std::pair<uint32_t, uint32_t>> extents;
   if (!ar.loading()) {
-    FreshRecord fresh(HeapKind::kJavaHeap);
-    HeapKind kind = HeapKind::kJavaHeap;
     uint32_t run_start = 0;
     bool in_run = false;
     for (uint32_t vpn = 0; vpn < page_count_; ++vpn) {
-      HeapKind k = KindOf(vpn);
-      if (k != kind) {
-        kind = k;
-        fresh = FreshRecord(kind);
-      }
-      if (fresh.Matches(pages_[vpn], vpn)) {
+      if (IsFresh(pages_[vpn])) {
         if (in_run) {
           extents.emplace_back(run_start, vpn - run_start);
           in_run = false;
@@ -182,6 +169,60 @@ void AddressSpace::Transfer(SnapshotArchive& ar) {
       extents.emplace_back(run_start, static_cast<uint32_t>(page_count_) - run_start);
     }
   }
+  // The v2 image takes vpn and heap kind from the record's position, and
+  // links only from a record on a two-list list.
+  auto to_image = [&](uint32_t vpn) {
+    const PageInfo& p = pages_[vpn];
+    V2Record r;
+    if (lru_.on_two_list(p)) {
+      r.prev = p.lru.prev;
+      r.next = p.lru.next;
+    }
+    r.vpn = vpn;
+    r.zram_bytes = p.zram_bytes;
+    r.evict_cookie = p.evict_cookie;
+    r.bits = static_cast<uint16_t>(p.bits() | static_cast<uint16_t>(KindOf(vpn)) << kV2KindShift);
+    return r;
+  };
+  // Restore checks every field that indexes something or selects a code
+  // path, and stores a record only once it passed: a snapshot is taken at a
+  // quiescent point, so no page is mid-fault. Returns why the image cannot
+  // be this space's record at `vpn`, or "" once stored.
+  auto from_image = [&](const V2Record& r, uint32_t vpn) -> std::string {
+    if (r.vpn != vpn) {
+      return "record carries vpn " + std::to_string(r.vpn);
+    }
+    if ((r.bits & kV2KindBits) >> kV2KindShift != static_cast<uint16_t>(KindOf(vpn))) {
+      return "heap kind does not match the layout";
+    }
+    PageInfo flags;
+    flags.set_bits(static_cast<uint16_t>(r.bits & ~kV2KindBits));
+    if (flags.state() > PageState::kOnFlash) {
+      return "state " + std::to_string(static_cast<int>(flags.state())) +
+             " is not a quiescent page state";
+    }
+    const bool listed = lru_.on_two_list(flags);
+    for (uint32_t link : {r.prev, r.next}) {
+      if (link != kNoPage && (!listed || link >= page_count_)) {
+        return "LRU link " + std::to_string(link) +
+               (listed ? " outside the arena" : " on a page off the two-list lists");
+      }
+    }
+    PageInfo& p = pages_[vpn];
+    p.set_bits(flags.bits());
+    if (listed) {
+      p.lru = PageLinks{r.prev, r.next};
+    }
+    p.zram_bytes = r.zram_bytes;
+    p.evict_cookie = r.evict_cookie;
+    return "";
+  };
+  // Whether links may be set depends on the aging policy, which the stream
+  // stores after the records: the first bad record is reported only once
+  // the LRU state has been read, so a snapshot of the other policy fails as
+  // a policy mismatch.
+  std::string bad_record;
+  std::vector<V2Record> image;
   uint64_t prev_end = 0;
   ar.Sequence(extents, 8, [&](std::pair<uint32_t, uint32_t>& extent) {
     auto& [start, run] = extent;
@@ -191,7 +232,19 @@ void AddressSpace::Transfer(SnapshotArchive& ar) {
     if (start < prev_end || end > page_count_) {
       SnapshotArchive::Fail("arena extent out of order or out of range for " + name_);
     }
-    ar.Bytes(pages_.get() + start, run * sizeof(PageInfo));
+    image.resize(run);
+    if (!ar.loading()) {
+      for (uint32_t i = 0; i < run; ++i) {
+        image[i] = to_image(start + i);
+      }
+    }
+    ar.Bytes(image.data(), run * sizeof(V2Record));
+    for (uint32_t i = 0; ar.loading() && i < run; ++i) {
+      std::string why = from_image(image[i], start + i);
+      if (bad_record.empty() && !why.empty()) {
+        bad_record = name_ + " page " + std::to_string(start + i) + ": " + why;
+      }
+    }
     prev_end = end;
   });
   ar.U64(resident_);
@@ -200,6 +253,9 @@ void AddressSpace::Transfer(SnapshotArchive& ar) {
   ar.U64(total_refaults);
   ar.U32(last_flash_fault_vpn);
   lru_.Transfer(ar);
+  if (!bad_record.empty()) {
+    SnapshotArchive::Fail(bad_record);
+  }
 }
 
 }  // namespace ice

@@ -6,7 +6,10 @@
 // records are a single slab: the reclaim scan and LRU rotation walk packed
 // 32-byte entries instead of pointer-chasing heap nodes. Capacity is fixed
 // so PageInfo records never move — LRU index links and in-flight faults
-// address pages by vpn for the AddressSpace lifetime.
+// address pages by vpn for the AddressSpace lifetime. The all-zero record is
+// the fresh one, so constructing a space writes no record, and a record's
+// vpn (its arena index) and heap kind (its layout region) come from its
+// position: VpnOf, KindOf.
 // "Heap growth" is modeled by touching previously untouched pages, which is
 // how the PUBG-style game workload allocates its 100 MB+ per battle round.
 #ifndef SRC_MEM_ADDRESS_SPACE_H_
@@ -89,7 +92,16 @@ class AddressSpace {
   uint32_t file_begin() const { return native_end(); }
   uint32_t file_end() const { return static_cast<uint32_t>(page_count_); }
 
-  HeapKind KindOf(uint32_t vpn) const;
+  HeapKind KindOf(uint32_t vpn) const {
+    if (vpn < java_end()) {
+      return HeapKind::kJavaHeap;
+    }
+    return vpn < native_end() ? HeapKind::kNativeHeap : HeapKind::kFile;
+  }
+  // The vpn of a record in this space's arena: its index.
+  uint32_t VpnOf(const PageInfo& page) const {
+    return static_cast<uint32_t>(&page - pages_.get());
+  }
 
   // Resident (kPresent) page count, maintained by the MemoryManager.
   PageCount resident() const { return resident_; }
@@ -114,11 +126,12 @@ class AddressSpace {
   // opens a readahead window when faults are sequential, like the kernel.
   uint32_t last_flash_fault_vpn = UINT32_MAX;
 
-  // Snapshot support: a raw dump of the page-metadata arena (PageInfo is
-  // trivially copyable and holds no pointers — LRU links are vpn indices)
-  // plus residency counters and LRU/gen-clock heads. Restoring requires a
-  // structurally identical space (same layout, built by replaying process
-  // creation) and overwrites its dynamic state.
+  // Snapshot support: a sparse dump of the page-metadata arena in snapshot
+  // format v2's record image (PageInfo holds no pointers — LRU links are vpn
+  // indices) plus residency counters and LRU/gen-clock heads. Restoring
+  // requires a structurally identical space (same layout, built by replaying
+  // process creation) and overwrites its dynamic state; it throws on a
+  // record whose vpn, heap kind, state or links cannot be this space's.
   void Transfer(SnapshotArchive& ar);
 
   // Per-address-space LRU lists: the memcg model. Android places each app in
@@ -134,9 +147,9 @@ class AddressSpace {
   std::string name_;
   AddressSpaceLayout layout_;
   uint32_t space_id_ = kInvalidSpaceId;
-  // The arena comes zero-filled from the kernel and is placement-new
-  // constructed so vpn/kind are set in the one pass that touches each
-  // record. Null for an empty layout, which maps nothing.
+  // The arena comes zero-filled from the kernel, and zero bytes are fresh
+  // records, so nothing writes a record until its page is touched. Null for
+  // an empty layout, which maps nothing.
   std::unique_ptr<PageInfo[], PageArenaDeleter> pages_;
   size_t page_count_ = 0;
   PageCount resident_ = 0;

@@ -33,7 +33,7 @@ inline void PrefetchPage(const PageInfo* p) {
 }  // namespace
 
 void LruLists::GenInsert(PageInfo* page) {
-  GenState& g = gen(PoolOf(*page));
+  GenState& g = gen(pool_of(page));
   page->set_lru_linked(true);
   page->set_generation(g.clock);
   ++g.counts[g.clock];
@@ -41,7 +41,7 @@ void LruLists::GenInsert(PageInfo* page) {
 }
 
 void LruLists::GenRemove(PageInfo* page) {
-  GenState& g = gen(PoolOf(*page));
+  GenState& g = gen(pool_of(page));
   --g.counts[page->generation()];
   --g.linked;
   page->set_lru_linked(false);
@@ -52,7 +52,7 @@ void LruLists::GenTouch(PageInfo* page) {
   // generation (a counter transfer, no links to rewrite). The reference bit
   // still backs the scan's second chance for pages whose last touch
   // predates a clock advance.
-  GenState& g = gen(PoolOf(*page));
+  GenState& g = gen(pool_of(page));
   const uint8_t current = page->generation();
   if (current != g.clock) {
     --g.counts[current];
@@ -66,7 +66,7 @@ void LruLists::GenTouch(PageInfo* page) {
 void LruLists::GenPutBackInactive(PageInfo* page) {
   // Relink one generation behind the clock: old (so a later scan can take
   // it again) but not further aged than it was.
-  GenState& g = gen(PoolOf(*page));
+  GenState& g = gen(pool_of(page));
   const uint8_t behind = (g.clock + 7) & 7;
   page->set_lru_linked(true);
   page->set_generation(behind);
@@ -132,7 +132,7 @@ uint32_t LruLists::GenIsolate(LruPool pool, uint32_t max, uint32_t scan_budget,
       PrefetchPage(arena_ + (ahead < page_count_ ? ahead : ahead - page_count_));
     }
     PageInfo& page = arena_[idx];
-    if (!page.lru_linked() || PoolOf(page) != pool ||
+    if (!page.lru_linked() || pool_of(&page) != pool ||
         page.generation() == g.clock) {
       continue;
     }

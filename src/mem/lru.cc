@@ -1,7 +1,10 @@
 #include "src/mem/lru.h"
 
+#include <string>
+
 #include "src/base/binary_stream.h"
 #include "src/base/log.h"
+#include "src/mem/address_space.h"
 
 namespace ice {
 
@@ -16,6 +19,13 @@ inline void PrefetchPage(const PageInfo* p) {
 }
 
 }  // namespace
+
+void LruLists::BindArena(const AddressSpace* owner, PageInfo* arena, uint32_t page_count) {
+  owner_ = owner;
+  arena_ = arena;
+  page_count_ = page_count;
+  anon_end_ = owner->file_begin();
+}
 
 uint32_t LruLists::IsolateCandidates(LruPool pool, uint32_t max, uint32_t scan_budget,
                                      const VictimFilter& filter, std::vector<PageInfo*>& out) {
@@ -71,18 +81,32 @@ uint32_t LruLists::IsolateCandidates(LruPool pool, uint32_t max, uint32_t scan_b
 
 void LruLists::Transfer(SnapshotArchive& ar) {
   ar.Expect<uint8_t>(aging_, "aging policy");
+  // Restored values index the arena and GenState::counts, so each is checked
+  // against their bounds before anything reads through it.
+  auto check = [&](bool ok, const char* what) {
+    if (ar.loading() && !ok) {
+      SnapshotArchive::Fail(std::string("LRU ") + what + " out of range");
+    }
+  };
+  auto link_ok = [&](uint32_t index) { return index == kNoPage || index < page_count_; };
   for (IndexList& l : lists_) {
     ar.U32(l.head);
     ar.U32(l.tail);
     ar.U32(l.size);
+    check(link_ok(l.head) && link_ok(l.tail), "list head or tail");
+    check(l.size <= page_count_, "list size");
   }
   for (GenState& g : gen_) {
     for (uint32_t& c : g.counts) {
       ar.U32(c);
+      check(c <= page_count_, "generation count");
     }
     ar.U32(g.linked);
     ar.U32(g.hand);
     ar.U8(g.clock);
+    check(g.linked <= page_count_, "generation count");
+    check(g.hand < page_count_ || (page_count_ == 0 && g.hand == 0), "gen-clock hand");
+    check(g.clock < 8, "gen-clock clock");
   }
 }
 

@@ -41,10 +41,6 @@ class SnapshotArchive;
 
 enum class LruPool { kAnon, kFile };
 
-inline LruPool PoolOf(const PageInfo& page) {
-  return IsAnon(page.kind()) ? LruPool::kAnon : LruPool::kFile;
-}
-
 class LruLists {
  public:
   // Returns true to *skip* (rotate) the candidate instead of evicting it.
@@ -60,12 +56,10 @@ class LruLists {
   // Binds the lists to the arena they link into. Must be called (by the
   // owning AddressSpace, or a test harness) before any list operation; the
   // arena must outlive the lists and never move. `page_count` bounds the
-  // gen-clock hand sweep (and vpn-indexed links never exceed it).
-  void BindArena(const AddressSpace* owner, PageInfo* arena, uint32_t page_count) {
-    owner_ = owner;
-    arena_ = arena;
-    page_count_ = page_count;
-  }
+  // gen-clock hand sweep (and vpn-indexed links never exceed it). A record's
+  // link index is its position in the arena, and its pool is the owner's
+  // layout region at that position: anon below `owner->file_begin()`.
+  void BindArena(const AddressSpace* owner, PageInfo* arena, uint32_t page_count);
 
   // Selects the aging policy. Must be called while no page is linked: the
   // two representations share no per-page state.
@@ -150,9 +144,17 @@ class LruLists {
   // Candidates gathered (and prefetched) per scan step.
   static constexpr uint32_t kScanBatch = 8;
 
+  // Whether `page` is on a two-list list, the only place its links mean
+  // anything (the snapshot image writes kNoPage links for every other one).
+  bool on_two_list(const PageInfo& page) const {
+    return aging_ == AgingPolicy::kTwoList && page.lru_linked();
+  }
+
   // Snapshot support: list heads/tails/sizes and gen-clock hands/counters.
-  // Per-page link state rides along with the owning arena's raw dump, so
-  // restore assumes the arena bytes were restored first.
+  // Per-page link state rides along with the owning arena's dump, so
+  // restore assumes the arena records were restored first. Restoring throws
+  // on a head, tail or hand outside the arena, a size or count above the
+  // page count, or a clock outside its 3 bits.
   void Transfer(SnapshotArchive& ar);
 
  private:
@@ -187,6 +189,12 @@ class LruLists {
   const GenState& gen(LruPool pool) const { return gen_[static_cast<int>(pool)]; }
 
   PageInfo& at(uint32_t index) { return arena_[index]; }
+  uint32_t index_of(const PageInfo* page) const {
+    return static_cast<uint32_t>(page - arena_);
+  }
+  LruPool pool_of(const PageInfo* page) const {
+    return index_of(page) < anon_end_ ? LruPool::kAnon : LruPool::kFile;
+  }
 
   void PushFront(IndexList& l, PageInfo* page);
   void Unlink(IndexList& l, PageInfo* page);
@@ -208,6 +216,7 @@ class LruLists {
   const AddressSpace* owner_ = nullptr;
   PageInfo* arena_ = nullptr;
   uint32_t page_count_ = 0;
+  uint32_t anon_end_ = 0;  // Arena index where the file region begins.
   AgingPolicy aging_ = AgingPolicy::kTwoList;
   IndexList lists_[4];
   GenState gen_[2];
@@ -221,7 +230,7 @@ class LruLists {
 // ---------------------------------------------------------------------------
 
 inline void LruLists::PushFront(IndexList& l, PageInfo* page) {
-  const uint32_t idx = page->vpn;
+  const uint32_t idx = index_of(page);
   const uint32_t old_head = l.head;
   page->set_lru_linked(true);
   page->lru.prev = kNoPage;
@@ -240,8 +249,7 @@ inline void LruLists::Unlink(IndexList& l, PageInfo* page) {
   const uint32_t prev = page->lru.prev;
   const uint32_t next = page->lru.next;
   page->set_lru_linked(false);
-  page->lru.prev = kNoPage;
-  page->lru.next = kNoPage;
+  page->lru = PageLinks{};
   --l.size;
   if (prev != kNoPage) {
     at(prev).lru.next = next;
@@ -275,7 +283,7 @@ inline void LruLists::Insert(PageInfo* page) {
     GenInsert(page);
     return;
   }
-  PushFront(list(PoolOf(*page), true), page);
+  PushFront(list(pool_of(page), true), page);
 }
 
 inline void LruLists::Remove(PageInfo* page) {
@@ -286,7 +294,7 @@ inline void LruLists::Remove(PageInfo* page) {
     GenRemove(page);
     return;
   }
-  Unlink(list(PoolOf(*page), page->active()), page);
+  Unlink(list(pool_of(page), page->active()), page);
 }
 
 inline void LruLists::Touch(PageInfo* page) {
@@ -307,10 +315,10 @@ inline void LruLists::Touch(PageInfo* page) {
     return;
   }
   // Second touch while inactive: promote.
-  Unlink(list(PoolOf(*page), false), page);
+  Unlink(list(pool_of(page), false), page);
   page->set_active(true);
   page->set_referenced(false);
-  PushFront(list(PoolOf(*page), true), page);
+  PushFront(list(pool_of(page), true), page);
 }
 
 inline void LruLists::PutBackInactive(PageInfo* page) {
@@ -320,7 +328,7 @@ inline void LruLists::PutBackInactive(PageInfo* page) {
     GenPutBackInactive(page);
     return;
   }
-  PushFront(list(PoolOf(*page), false), page);
+  PushFront(list(pool_of(page), false), page);
 }
 
 }  // namespace ice

@@ -91,11 +91,12 @@ void MemoryManager::Register(AddressSpace& space) {
 }
 
 void MemoryManager::Release(AddressSpace& space) {
-  size_t before = spaces_.size();
-  spaces_.erase(std::remove(spaces_.begin(), spaces_.end(), &space), spaces_.end());
-  if (spaces_.size() < before) {
-    arena_bytes_live_ -= space.arena_bytes();
+  auto it = std::find(spaces_.begin(), spaces_.end(), &space);
+  if (it == spaces_.end()) {
+    return;  // Never registered, or forgotten with the rest (ForgetSpaces).
   }
+  spaces_.erase(it);
+  arena_bytes_live_ -= space.arena_bytes();
   for (PageInfo& p : space.pages()) {
     switch (p.state()) {
       case PageState::kPresent:
@@ -109,16 +110,19 @@ void MemoryManager::Release(AddressSpace& space) {
       case PageState::kFaultingIn: {
         // Abandon the in-flight fault; the completion handler no-ops once the
         // state is reset. Waiters belong to the dying process.
-        auto it = pending_faults_.find(space.handle_of(p.vpn).packed);
-        if (it != pending_faults_.end()) {
-          RecycleWaiterList(std::move(it->second));
-          pending_faults_.erase(it);
+        auto pending = pending_faults_.find(space.handle_of(space.VpnOf(p)).packed);
+        if (pending != pending_faults_.end()) {
+          RecycleWaiterList(std::move(pending->second));
+          pending_faults_.erase(pending);
         }
         break;
       }
       case PageState::kOnFlash:
-      case PageState::kUntouched:
         break;
+      case PageState::kUntouched:
+        // Never touched, so still all zero: the resets below would only
+        // write zeros over it (and commit its arena page).
+        continue;
     }
     p.set_state(PageState::kUntouched);
     p.set_dirty(false);
@@ -130,6 +134,11 @@ void MemoryManager::Release(AddressSpace& space) {
   space.AddResident(-static_cast<int64_t>(space.resident()));
   space.AddEvicted(-static_cast<int64_t>(space.evicted()));
   SyncZramFrames();
+}
+
+void MemoryManager::ForgetSpaces() {
+  spaces_.clear();
+  arena_bytes_live_ = 0;
 }
 
 void MemoryManager::ResetForRecycle() {
@@ -167,7 +176,7 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
   switch (p.state()) {
     case PageState::kPresent:
       space.lru().Touch(&p);
-      if (write && p.kind() == HeapKind::kFile) {
+      if (write && space.KindOf(vpn) == HeapKind::kFile) {
         p.set_dirty(true);
       }
       outcome.kind = AccessOutcome::Kind::kHit;
@@ -180,7 +189,7 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
       outcome.cpu_us = config_.fault_fixed_cost + ContentionPenalty();
       TakeFrame(space, outcome);
       MakePresent(space, &p);
-      if (write && p.kind() == HeapKind::kFile) {
+      if (write && space.KindOf(vpn) == HeapKind::kFile) {
         p.set_dirty(true);
       }
       return outcome;
@@ -207,7 +216,7 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
         p.set_zram_dense(false);
       }
       ++*ct_.zram_loads;
-      RecordRefaultStats(space, p, foreground);
+      RecordRefaultStats(space, vpn, foreground);
       shadow_.RecordRefault(&p, space, engine_.now(), foreground);
       MakePresent(space, &p);
       return outcome;
@@ -222,9 +231,9 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
       TakeFrame(space, outcome);
       // The paper's RPF detects the refault at page-fault time (PTE check),
       // before the I/O completes — so the event fires here.
-      RecordRefaultStats(space, p, foreground);
+      RecordRefaultStats(space, vpn, foreground);
       shadow_.RecordRefault(&p, space, engine_.now(), foreground);
-      if (swap_gov_.enabled() && IsAnon(p.kind())) {
+      if (swap_gov_.enabled() && IsAnon(space.KindOf(vpn))) {
         // An anon page only reaches flash via zram writeback; refaulting it
         // is exactly the re-reference evidence the hotness counter tracks.
         swap_gov_.OnRefault(&p);
@@ -262,9 +271,9 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
           break;
         }
         ++*ct_.page_faults;
-        RecordRefaultStats(space, np, foreground);
+        RecordRefaultStats(space, next, foreground);
         shadow_.RecordRefault(&np, space, engine_.now(), foreground);
-        if (swap_gov_.enabled() && IsAnon(np.kind())) {
+        if (swap_gov_.enabled() && IsAnon(space.KindOf(next))) {
           swap_gov_.OnRefault(&np);
         }
         TakeFrame(space, outcome);
@@ -321,15 +330,14 @@ void MemoryManager::RecycleWaiterList(WaiterList&& waiters) {
   }
 }
 
-void MemoryManager::RecordRefaultStats(AddressSpace& space, const PageInfo& p,
-                                       bool foreground) {
-  HeapKind kind = p.kind();
+void MemoryManager::RecordRefaultStats(AddressSpace& space, uint32_t vpn, bool foreground) {
+  HeapKind kind = space.KindOf(vpn);
   ICE_TRACE(engine_, TraceEventType::kRefault,
             {.pid = space.pid(),
              .uid = space.uid(),
              .flags = (foreground ? kTraceFlagForeground : 0) |
                       (IsAnon(kind) ? kTraceFlagAnon : 0),
-             .arg0 = p.vpn});
+             .arg0 = vpn});
   ++*ct_.refaults;
   ++*(foreground ? ct_.refaults_fg : ct_.refaults_bg);
   ++*(IsAnon(kind) ? ct_.refaults_anon : ct_.refaults_file);

@@ -167,8 +167,15 @@ class MemoryManager {
   // touch. A space is registered once, before anything in it is resident or
   // evicted (ICE_CHECKed in O(1)).
   void Register(AddressSpace& space);
-  // Releases every frame/zram slot held by `space` (process killed or exit).
+  // Releases every frame/zram slot held by `space` (process killed or exit)
+  // and unregisters it. Walks the arena but writes only touched records; a
+  // space this manager does not hold is left alone.
   void Release(AddressSpace& space);
+  // Unregisters every space without walking a page, for an owner that
+  // destroys the spaces together with this manager (Experiment's
+  // destructor): their frames and zram slots die with the device. Nothing
+  // reads a forgotten space afterwards, so it may be destroyed first.
+  void ForgetSpaces();
 
   // ---- Introspection -------------------------------------------------------
 
@@ -237,7 +244,7 @@ class MemoryManager {
   AddressSpace* FindSpaceById(uint32_t space_id) const;
 
   void MakePresent(AddressSpace& space, PageInfo* page);
-  void RecordRefaultStats(AddressSpace& space, const PageInfo& page, bool foreground);
+  void RecordRefaultStats(AddressSpace& space, uint32_t vpn, bool foreground);
   void FinishIoFault(AddressSpace* space, uint32_t vpn);
   void FlushWritebackBatch();
   void MaybeWakeKswapd();

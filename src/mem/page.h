@@ -7,20 +7,23 @@
 //   PageLinks lru       8 bytes  32-bit index links (vpn within the owning
 //                                AddressSpace arena) instead of 16 bytes of
 //                                intrusive-list pointers
-//   vpn                 4 bytes
 //   zram_bytes          4 bytes  compressed size while in ZRAM
+//   (free)              4 bytes
 //   evict_cookie        8 bytes  workingset shadow entry (kept 64-bit: the
 //                                global eviction sequence overflows 32 bits
 //                                on long sweeps)
-//   bits                2 bytes  state:3 | kind:2 | dirty | referenced |
+//   bits                2 bytes  state:3 | (free):2 | dirty | referenced |
 //                                active | linked | generation:3 |
 //                                hotness:3 | zram_dense
 //
-// The owner back-pointer was removed: every hot path already knows the
-// AddressSpace it is operating on, so call sites pass it explicitly and the
-// record stays within budget. Pages live in one contiguous per-AddressSpace
-// arena and never move (see AddressSpace), so a {space, vpn} handle or a raw
-// PageInfo* is stable for the space's lifetime.
+// The record holds dynamic state only, and the all-zero record is the fresh
+// (never touched) one, so a new arena is the kernel's zero-fill and nothing
+// writes a record nobody touches. A record's vpn is its index in the arena
+// and its heap kind is the layout region that index falls in: the owning
+// AddressSpace answers both (VpnOf, KindOf), and every hot path already
+// knows that space, so call sites pass it explicitly. Pages live in one
+// contiguous per-AddressSpace arena and never move (see AddressSpace), so a
+// {space, vpn} handle or a raw PageInfo* is stable for the space's lifetime.
 #ifndef SRC_MEM_PAGE_H_
 #define SRC_MEM_PAGE_H_
 
@@ -62,9 +65,12 @@ inline constexpr uint32_t kNoPage = UINT32_MAX;
 // The LRU link record: 32-bit neighbor indices (vpns into the owning
 // AddressSpace's page arena) — half the size of the pointer-based intrusive
 // node it replaced, so a list hop plus the flag word land in one cache line.
+// The links mean something only while the record is on a two-list LRU list
+// (kNoPage ends the list there); off the lists, and under the gen-clock
+// policy, they stay zero.
 struct PageLinks {
-  uint32_t prev = kNoPage;
-  uint32_t next = kNoPage;
+  uint32_t prev = 0;
+  uint32_t next = 0;
 };
 
 // A page identity that survives outside the owning AddressSpace: the
@@ -86,8 +92,6 @@ struct alignas(32) PageInfo {
   // LRU list membership; managed exclusively by LruLists.
   PageLinks lru;
 
-  uint32_t vpn = 0;
-
   // Compressed size while in ZRAM.
   uint32_t zram_bytes = 0;
 
@@ -102,14 +106,6 @@ struct alignas(32) PageInfo {
   PageState state() const { return static_cast<PageState>(bits_ & kStateMask); }
   void set_state(PageState s) {
     bits_ = static_cast<uint16_t>((bits_ & ~kStateMask) | static_cast<uint16_t>(s));
-  }
-
-  HeapKind kind() const {
-    return static_cast<HeapKind>((bits_ >> kKindShift) & kKindMask);
-  }
-  void set_kind(HeapKind k) {
-    bits_ = static_cast<uint16_t>((bits_ & ~(kKindMask << kKindShift)) |
-                                  (static_cast<uint16_t>(k) << kKindShift));
   }
 
   // Dirty file pages need writeback before reclaim; anonymous pages are
@@ -162,10 +158,14 @@ struct alignas(32) PageInfo {
   bool zram_dense() const { return bits_ & kDenseBit; }
   void set_zram_dense(bool v) { SetBit(kDenseBit, v); }
 
+  // The whole flag word, for the snapshot image (AddressSpace::Transfer).
+  // Bits 3-4 are free: they held the heap kind, which snapshot format v2
+  // still stores there.
+  uint16_t bits() const { return bits_; }
+  void set_bits(uint16_t bits) { bits_ = bits; }
+
  private:
   static constexpr uint16_t kStateMask = 0x7;
-  static constexpr uint16_t kKindShift = 3;
-  static constexpr uint16_t kKindMask = 0x3;
   static constexpr uint16_t kDirtyBit = 1u << 5;
   static constexpr uint16_t kReferencedBit = 1u << 6;
   static constexpr uint16_t kActiveBit = 1u << 7;
@@ -174,7 +174,7 @@ struct alignas(32) PageInfo {
   static constexpr uint16_t kGenMask = 0x7;   // Bits 9-11.
   static constexpr uint16_t kHotShift = 12;
   static constexpr uint16_t kHotMask = 0x7;   // Bits 12-14.
-  static constexpr uint16_t kDenseBit = 1u << 15;  // Flag word is now full.
+  static constexpr uint16_t kDenseBit = 1u << 15;
 
   void SetBit(uint16_t bit, bool v) {
     bits_ = static_cast<uint16_t>(v ? (bits_ | bit) : (bits_ & ~bit));
@@ -196,6 +196,8 @@ static_assert(sizeof(PageLinks) == 8,
               "line per hop including the flag word)");
 // The arena allocates raw storage and frees it without running destructors.
 static_assert(std::is_trivially_destructible_v<PageInfo>);
+// A zero-filled record reads as untouched, unlinked and never evicted.
+static_assert(PageState::kUntouched == PageState{});
 
 }  // namespace ice
 

@@ -101,7 +101,7 @@ ReclaimResult MemoryManager::ReclaimBatch(PageCount target, bool direct) {
           lru.IsolateCandidates(plan.pool, want, want * 4, victim_filter_, isolate_scratch_);
       bool store_failed = false;
       for (PageInfo* page : isolate_scratch_) {
-        if (store_failed && IsAnon(page->kind())) {
+        if (store_failed && plan.pool == LruPool::kAnon) {
           // A store already failed in this batch: the remaining anonymous
           // victims cannot fit either, so put them back without burning a
           // compression attempt (Zram::Store draws its ratio before the
@@ -153,8 +153,10 @@ ReclaimResult MemoryManager::ReclaimBatch(PageCount target, bool direct) {
 MemoryManager::EvictOutcome MemoryManager::EvictPage(AddressSpace& space, PageInfo* page,
                                                      ReclaimResult& result, bool direct) {
   ICE_CHECK(page->state() == PageState::kPresent);
+  const uint32_t vpn = space.VpnOf(*page);
+  const bool anon = IsAnon(space.KindOf(vpn));
 
-  if (IsAnon(page->kind())) {
+  if (anon) {
     if (swap_gov_.ShouldReject(*page)) {
       // Warm page: the admission gate keeps it resident rather than
       // round-tripping it through a compression it would immediately undo.
@@ -166,7 +168,7 @@ MemoryManager::EvictOutcome MemoryManager::EvictPage(AddressSpace& space, PageIn
       ICE_TRACE(engine_, TraceEventType::kZramReject,
                 {.uid = space.uid(),
                  .flags = kTraceFlagHot | (direct ? kTraceFlagDirect : 0),
-                 .arg0 = page->vpn});
+                 .arg0 = vpn});
       return EvictOutcome::kRejectedHot;
     }
     SimDuration compress_cost = zram_.compress_cost();
@@ -175,10 +177,10 @@ MemoryManager::EvictOutcome MemoryManager::EvictPage(AddressSpace& space, PageIn
     if (swap_gov_.enabled()) {
       dense = swap_gov_.UseDenseTier(*page);
       const ZramTierProfile& tier = swap_gov_.TierFor(dense);
-      stored = zram_.StoreWithRatio(page, tier.mean_ratio, tier.ratio_sigma);
+      stored = zram_.StoreWithRatio(space, page, tier.mean_ratio, tier.ratio_sigma);
       compress_cost = tier.compress_us;
     } else {
-      stored = zram_.Store(page);
+      stored = zram_.Store(space, page);
     }
     if (!stored) {
       // ZRAM full: the page cannot be evicted; give it back. The reject is
@@ -191,14 +193,14 @@ MemoryManager::EvictOutcome MemoryManager::EvictPage(AddressSpace& space, PageIn
       ICE_TRACE(engine_, TraceEventType::kZramReject,
                 {.uid = space.uid(),
                  .flags = direct ? kTraceFlagDirect : 0,
-                 .arg0 = page->vpn});
+                 .arg0 = vpn});
       return EvictOutcome::kZramFull;
     }
     page->set_state(PageState::kInZram);
     if (swap_gov_.enabled()) {
       page->set_zram_dense(dense);
       ++*(dense ? ct_.swap_stores_dense : ct_.swap_stores_fast);
-      swap_gov_.OnStored(page, space.handle_of(page->vpn).packed);
+      swap_gov_.OnStored(page, space.handle_of(vpn).packed);
     }
     result.cpu_us += compress_cost + config_.unmap_cost;
     ++*ct_.zram_stores;
@@ -234,9 +236,8 @@ MemoryManager::EvictOutcome MemoryManager::EvictPage(AddressSpace& space, PageIn
   ++*(direct ? ct_.pages_reclaimed_direct : ct_.pages_reclaimed_kswapd);
   ICE_TRACE(engine_, TraceEventType::kPageEvict,
             {.uid = space.uid(),
-             .flags = (IsAnon(page->kind()) ? kTraceFlagAnon : 0) |
-                      (direct ? kTraceFlagDirect : 0),
-             .arg0 = page->vpn});
+             .flags = (anon ? kTraceFlagAnon : 0) | (direct ? kTraceFlagDirect : 0),
+             .arg0 = vpn});
   return EvictOutcome::kEvicted;
 }
 

@@ -21,7 +21,7 @@ RefaultEvent ShadowRegistry::RecordRefault(PageInfo* page, const AddressSpace& s
   event.time = now;
   event.pid = space.pid();
   event.uid = space.uid();
-  event.kind = page->kind();
+  event.kind = space.KindOf(space.VpnOf(*page));
   event.foreground = foreground;
   event.distance = eviction_seq_ - page->evict_cookie;
   page->evict_cookie = 0;

@@ -4,6 +4,7 @@
 
 #include "src/base/binary_stream.h"
 #include "src/base/log.h"
+#include "src/mem/address_space.h"
 
 namespace ice {
 
@@ -14,13 +15,14 @@ bool Zram::HasRoom() const {
   return stored_bytes_ + typical <= config_.capacity_bytes;
 }
 
-bool Zram::Store(PageInfo* page) {
-  return StoreWithRatio(page, config_.mean_ratio, config_.ratio_sigma);
+bool Zram::Store(const AddressSpace& space, PageInfo* page) {
+  return StoreWithRatio(space, page, config_.mean_ratio, config_.ratio_sigma);
 }
 
-bool Zram::StoreWithRatio(PageInfo* page, double mean_ratio, double ratio_sigma) {
+bool Zram::StoreWithRatio(const AddressSpace& space, PageInfo* page, double mean_ratio,
+                          double ratio_sigma) {
   ICE_CHECK(page != nullptr);
-  ICE_CHECK(IsAnon(page->kind())) << "only anonymous pages swap to zram";
+  ICE_CHECK(IsAnon(space.KindOf(space.VpnOf(*page)))) << "only anonymous pages swap to zram";
   double ratio = std::max(1.05, rng_.LogNormal(mean_ratio, ratio_sigma));
   uint32_t compressed = static_cast<uint32_t>(kPageSize / ratio);
   if (stored_bytes_ + compressed > config_.capacity_bytes) {

@@ -16,6 +16,7 @@
 
 namespace ice {
 
+class AddressSpace;
 class SnapshotArchive;
 
 struct ZramConfig {
@@ -36,14 +37,16 @@ class Zram {
   // True when a page of typical compressed size still fits.
   bool HasRoom() const;
 
-  // Compresses `page` into the store. Returns false (and stores nothing)
-  // when the device is full. On success, sets page->zram_bytes.
-  bool Store(PageInfo* page);
+  // Compresses `page`, an anonymous page of `space`, into the store.
+  // Returns false (and stores nothing) when the device is full. On success,
+  // sets page->zram_bytes.
+  bool Store(const AddressSpace& space, PageInfo* page);
 
   // Tiered store for the hotness swap policy: same single RNG draw per call
   // as Store() — only the log-normal parameters differ — so enabling tiers
   // never shifts the compression-ratio stream's position.
-  bool StoreWithRatio(PageInfo* page, double mean_ratio, double ratio_sigma);
+  bool StoreWithRatio(const AddressSpace& space, PageInfo* page, double mean_ratio,
+                      double ratio_sigma);
 
   // Removes `page`'s compressed copy (fault-in or owner exit).
   void Drop(PageInfo* page);

@@ -4,6 +4,7 @@
 // scheme and both aging and swap policies. Malformed streams must fail
 // loudly.
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 
 #include "src/base/binary_stream.h"
 #include "src/harness/experiment.h"
+#include "src/mem/address_space.h"
+#include "src/mem/memory_manager.h"
 #include "src/proc/scheduler.h"
 #include "src/proc/task.h"
 #include "src/trace/tracer.h"
@@ -324,6 +327,205 @@ TEST(SnapshotErrors, MissingFileThrows) {
   ExperimentConfig config = SmallConfig("lru_cfs", "two_list");
   EXPECT_THROW(Experiment::RestoreSnapshotFromFile(config, "/nonexistent/snap.bin"),
                std::runtime_error);
+}
+
+// ---- Restore checks on one address space's section -------------------------
+//
+// A space is saved alone, so the stream is {magic, version, space payload,
+// end marker, checksum} and every field sits at a known offset. Each test
+// changes one field and expects the restore into an identical space to
+// throw. Payload: u32 id, u64 page count, u64 extent count, then extents of
+// {u32 first vpn, u32 count, 32-byte records}; after them four u64 and one
+// u32 counters and the LRU state (u8 aging, four {head, tail, size} lists,
+// two {counts[8], linked, hand, u8 clock} generation states).
+
+constexpr size_t kStreamHeader = 12;  // Magic + version.
+constexpr size_t kStreamTrailer = 12;  // End marker + checksum.
+constexpr size_t kFirstRecord = kStreamHeader + 4 + 8 + 8 + 8;
+constexpr size_t kRecordBytes = 32;
+constexpr size_t kLruBytes = 1 + 4 * 12 + 2 * 41;
+constexpr uint32_t kSpacePages = 64;
+
+AddressSpaceLayout CheckLayout() {
+  AddressSpaceLayout layout;
+  layout.java_pages = 16;
+  layout.native_pages = 16;
+  layout.file_pages = 32;
+  return layout;
+}
+
+MemConfig CheckMemConfig(AgingPolicy aging) {
+  MemConfig config;
+  config.aging = aging;
+  return config;
+}
+
+// Saves a space whose vpns 0-7 (Java heap) and 40-47 (file) were touched in
+// that order: two extents, the first starting at vpn 0.
+std::vector<uint8_t> SaveCheckSpace(AgingPolicy aging, const AddressSpaceLayout& layout) {
+  Engine engine(3);
+  MemoryManager mm(engine, CheckMemConfig(aging), nullptr);
+  AddressSpace space(1, 1, "app", layout);
+  mm.Register(space);
+  for (uint32_t vpn : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 40u, 41u, 42u, 43u, 44u, 45u, 46u, 47u}) {
+    if (vpn < layout.total()) {
+      mm.Access(space, vpn, /*write=*/false, nullptr);
+    }
+  }
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  space.Transfer(save);
+  std::vector<uint8_t> bytes = w.Finish();
+  mm.Release(space);
+  return bytes;
+}
+
+// Restores `bytes` into a freshly built twin of the saved space; rethrows
+// what the restore throws, and otherwise returns the twin re-saved.
+std::vector<uint8_t> RestoreCheckSpace(AgingPolicy aging, const AddressSpaceLayout& layout,
+                                       const std::vector<uint8_t>& bytes) {
+  Engine engine(3);
+  MemoryManager mm(engine, CheckMemConfig(aging), nullptr);
+  AddressSpace space(1, 1, "app", layout);
+  mm.Register(space);
+  BinaryReader r(bytes, /*verify_checksum=*/false);
+  SnapshotArchive load(r);
+  space.Transfer(load);
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  space.Transfer(save);
+  return w.Finish();
+}
+
+uint32_t GetU32(const std::vector<uint8_t>& bytes, size_t at) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | bytes[at + static_cast<size_t>(i)];
+  }
+  return v;
+}
+
+void PutU32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+size_t RecordAt(uint32_t index) { return kFirstRecord + index * kRecordBytes; }
+size_t LruAt(const std::vector<uint8_t>& bytes) {
+  return bytes.size() - kStreamTrailer - kLruBytes;
+}
+size_t ListAt(const std::vector<uint8_t>& bytes, int list) { return LruAt(bytes) + 1 + 12 * list; }
+size_t GenAt(const std::vector<uint8_t>& bytes, int pool) {
+  return LruAt(bytes) + 1 + 4 * 12 + 41 * pool;
+}
+
+// Applies `mutate` to a saved section and expects the restore to throw.
+void ExpectRejected(AgingPolicy aging, const std::function<void(std::vector<uint8_t>&)>& mutate,
+                    const AddressSpaceLayout& layout = CheckLayout()) {
+  std::vector<uint8_t> bytes = SaveCheckSpace(aging, layout);
+  mutate(bytes);
+  try {
+    RestoreCheckSpace(aging, layout, bytes);
+    ADD_FAILURE() << "mutated section was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: ", 0), 0u) << e.what();
+  }
+}
+
+TEST(SnapshotRestoreChecks, UnmutatedSectionRestoresIdentically) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    std::vector<uint8_t> bytes = SaveCheckSpace(aging, CheckLayout());
+    ASSERT_EQ(GetU32(bytes, kFirstRecord - 8), 0u);  // First extent starts at vpn 0...
+    ASSERT_EQ(GetU32(bytes, kFirstRecord - 4), 8u);  // ...and holds 8 records.
+    EXPECT_TRUE(RestoreCheckSpace(aging, CheckLayout(), bytes) == bytes);
+  }
+}
+
+TEST(SnapshotRestoreChecks, RecordVpnMustBeItsPosition) {
+  ExpectRejected(AgingPolicy::kTwoList,
+                 [](std::vector<uint8_t>& b) { PutU32(b, RecordAt(1) + 8, 0); });
+  ExpectRejected(AgingPolicy::kGenClock,
+                 [](std::vector<uint8_t>& b) { PutU32(b, RecordAt(3) + 8, kSpacePages + 3); });
+}
+
+TEST(SnapshotRestoreChecks, RecordKindMustMatchTheLayout) {
+  // Kind bits 3-4 of the flag word: Java heap (0) rewritten as native (1)
+  // and as the unused value 3.
+  for (uint8_t kind_bits : {uint8_t{1 << 3}, uint8_t{3 << 3}}) {
+    ExpectRejected(AgingPolicy::kTwoList, [&](std::vector<uint8_t>& b) {
+      b[RecordAt(2) + 24] = static_cast<uint8_t>(b[RecordAt(2) + 24] | kind_bits);
+    });
+  }
+}
+
+TEST(SnapshotRestoreChecks, RecordStateMustBeQuiescent) {
+  // 4 is kFaultingIn (no fault is in flight at a snapshot); 5-7 name no state.
+  for (uint8_t state = 4; state <= 7; ++state) {
+    ExpectRejected(AgingPolicy::kTwoList, [&](std::vector<uint8_t>& b) {
+      b[RecordAt(0) + 24] = static_cast<uint8_t>((b[RecordAt(0) + 24] & ~7) | state);
+    });
+  }
+}
+
+TEST(SnapshotRestoreChecks, ListedRecordLinksMustIndexTheArena) {
+  ExpectRejected(AgingPolicy::kTwoList,
+                 [](std::vector<uint8_t>& b) { PutU32(b, RecordAt(0), kSpacePages); });
+  ExpectRejected(AgingPolicy::kTwoList,
+                 [](std::vector<uint8_t>& b) { PutU32(b, RecordAt(4) + 4, 0x7fffffff); });
+}
+
+TEST(SnapshotRestoreChecks, UnlistedRecordLinksMustBeNoPage) {
+  // Two-list: record 0, the oldest, links back to record 1; clearing its
+  // linked bit (flag bit 8) leaves a link on a record off the lists.
+  ExpectRejected(AgingPolicy::kTwoList, [](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU32(b, RecordAt(0)), 1u);
+    b[RecordAt(0) + 25] = static_cast<uint8_t>(b[RecordAt(0) + 25] & ~1);
+  });
+  // Gen-clock keeps no links at all.
+  ExpectRejected(AgingPolicy::kGenClock,
+                 [](std::vector<uint8_t>& b) { PutU32(b, RecordAt(0), 3); });
+  ExpectRejected(AgingPolicy::kGenClock,
+                 [](std::vector<uint8_t>& b) { PutU32(b, RecordAt(5) + 4, 0); });
+}
+
+TEST(SnapshotRestoreChecks, ListHeadAndTailMustIndexTheArena) {
+  for (int list = 0; list < 4; ++list) {
+    for (size_t field : {size_t{0}, size_t{4}}) {
+      ExpectRejected(AgingPolicy::kTwoList, [&](std::vector<uint8_t>& b) {
+        PutU32(b, ListAt(b, list) + field, kSpacePages);
+      });
+    }
+  }
+}
+
+TEST(SnapshotRestoreChecks, SizesAndGenerationCountsAreBoundedByThePages) {
+  ExpectRejected(AgingPolicy::kTwoList,
+                 [](std::vector<uint8_t>& b) { PutU32(b, ListAt(b, 1) + 8, kSpacePages + 1); });
+  for (size_t field = 0; field <= 8; ++field) {  // counts[0..7], then linked.
+    ExpectRejected(AgingPolicy::kGenClock, [&](std::vector<uint8_t>& b) {
+      PutU32(b, GenAt(b, 0) + 4 * field, kSpacePages + 1);
+    });
+  }
+}
+
+TEST(SnapshotRestoreChecks, GenClockHandMustIndexTheArena) {
+  for (int pool = 0; pool < 2; ++pool) {
+    ExpectRejected(AgingPolicy::kGenClock, [&](std::vector<uint8_t>& b) {
+      PutU32(b, GenAt(b, pool) + 36, kSpacePages);
+    });
+  }
+  // An empty space has no page to point at: its hand stays 0.
+  ExpectRejected(
+      AgingPolicy::kGenClock, [](std::vector<uint8_t>& b) { PutU32(b, GenAt(b, 1) + 36, 1); },
+      AddressSpaceLayout{});
+}
+
+TEST(SnapshotRestoreChecks, GenClockClockHasThreeBits) {
+  for (uint8_t clock : {uint8_t{8}, uint8_t{255}}) {
+    ExpectRejected(AgingPolicy::kGenClock,
+                   [&](std::vector<uint8_t>& b) { b[GenAt(b, 0) + 40] = clock; });
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include "src/mem/address_space.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstring>
-#include <new>
 #include <vector>
+
+#include "src/mem/memory_manager.h"
+#include "src/sim/engine.h"
 
 namespace ice {
 namespace {
@@ -38,13 +42,25 @@ TEST(AddressSpace, KindOfMatchesRegion) {
   EXPECT_EQ(space.KindOf(59), HeapKind::kFile);
 }
 
+// A new space's records are all zero, the fresh record: untouched,
+// unlinked, never evicted. Vpn and heap kind come from the position.
+bool IsZeroRecord(const PageInfo& p) {
+  static const unsigned char kZero[sizeof(PageInfo)] = {};
+  return std::memcmp(&p, kZero, sizeof(PageInfo)) == 0;
+}
+
 TEST(AddressSpace, PagesInitialized) {
   AddressSpace space(7, 10002, "app", SmallLayout());
   for (uint32_t vpn = 0; vpn < space.total_pages(); ++vpn) {
     const PageInfo& p = space.page(vpn);
-    EXPECT_EQ(p.vpn, vpn);
+    EXPECT_TRUE(IsZeroRecord(p)) << "vpn " << vpn;
     EXPECT_EQ(p.state(), PageState::kUntouched);
-    EXPECT_EQ(p.kind(), space.KindOf(vpn));
+    EXPECT_FALSE(p.lru_linked());
+    EXPECT_EQ(space.VpnOf(p), vpn);
+    HeapKind want = vpn < 10 ? HeapKind::kJavaHeap
+                    : vpn < 30 ? HeapKind::kNativeHeap
+                               : HeapKind::kFile;
+    EXPECT_EQ(space.KindOf(space.VpnOf(p)), want);
   }
 }
 
@@ -82,16 +98,6 @@ TEST(AddressSpace, OwnsItsLru) {
   space.lru().Remove(&space.page(0));
 }
 
-// The byte image of a freshly-constructed record: zero padding, as the
-// sparse snapshot dump assumes for every record it leaves out.
-std::vector<unsigned char> FreshBytes(uint32_t vpn, HeapKind kind) {
-  alignas(PageInfo) unsigned char bytes[sizeof(PageInfo)] = {};
-  PageInfo* p = new (bytes) PageInfo();
-  p->vpn = vpn;
-  p->set_kind(kind);
-  return {bytes, bytes + sizeof(PageInfo)};
-}
-
 // Larger than 2 MiB, so the arena has a huge-page interior where THP is on.
 TEST(AddressSpace, LargeArenaRecordsAreFreshBytes) {
   AddressSpaceLayout layout;
@@ -102,9 +108,49 @@ TEST(AddressSpace, LargeArenaRecordsAreFreshBytes) {
   ASSERT_GT(space.arena_bytes(), size_t{2} << 20);
   EXPECT_EQ(space.arena_bytes(), space.total_pages() * sizeof(PageInfo));
   for (uint32_t vpn = 0; vpn < space.total_pages(); ++vpn) {
-    std::vector<unsigned char> want = FreshBytes(vpn, space.KindOf(vpn));
-    ASSERT_EQ(std::memcmp(want.data(), &space.page(vpn), sizeof(PageInfo)), 0) << "vpn " << vpn;
+    const PageInfo& p = space.page(vpn);
+    ASSERT_TRUE(IsZeroRecord(p)) << "vpn " << vpn;
+    ASSERT_EQ(space.VpnOf(p), vpn);
   }
+  EXPECT_EQ(space.KindOf(39999), HeapKind::kJavaHeap);
+  EXPECT_EQ(space.KindOf(40000), HeapKind::kNativeHeap);
+  EXPECT_EQ(space.KindOf(89999), HeapKind::kNativeHeap);
+  EXPECT_EQ(space.KindOf(90000), HeapKind::kFile);
+  EXPECT_EQ(space.KindOf(150000), HeapKind::kFile);
+}
+
+// Constructing and registering a space writes no record, so a touch of one
+// page commits one arena page: a 2 MiB block where THP backs the interior,
+// else one 4 KiB page (and one more, allowed for, if the record straddled).
+TEST(AddressSpace, UntouchedRecordsAreNeverCommitted) {
+#if defined(__linux__)
+  AddressSpaceLayout layout;
+  layout.java_pages = 40000;
+  layout.native_pages = 50000;
+  layout.file_pages = 60001;
+  Engine engine(1);
+  MemConfig config;
+  MemoryManager mm(engine, config, /*storage=*/nullptr);
+  AddressSpace space(1, 1, "big", layout);
+  mm.Register(space);
+  mm.Access(space, 100000, /*write=*/true, nullptr);
+
+  const size_t host_page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  auto* begin = reinterpret_cast<unsigned char*>(space.pages().data());
+  const size_t arena_pages = (space.arena_bytes() + host_page - 1) / host_page;
+  ASSERT_EQ(arena_pages, 1172u);
+  std::vector<unsigned char> resident(arena_pages);
+  ASSERT_EQ(mincore(begin, arena_pages * host_page, resident.data()), 0);
+  size_t committed = 0;
+  for (unsigned char r : resident) {
+    committed += r & 1;
+  }
+  EXPECT_GE(committed, 1u);
+  EXPECT_LE(committed, 513u) << committed << " of " << arena_pages << " arena pages resident";
+  mm.Release(space);
+#else
+  GTEST_SKIP() << "mincore residency is checked on Linux only";
+#endif
 }
 
 // Synthetic apps have no service process pages: an empty layout maps

@@ -78,17 +78,17 @@ TEST_F(GenClockTest, IsolateSweepsArenaInAddressOrder) {
   // The hand starts at arena index 0 and sweeps upward.
   ASSERT_EQ(victims.size(), 3u);
   EXPECT_EQ(scanned, 3u);
-  EXPECT_EQ(victims[0]->vpn, 0u);
-  EXPECT_EQ(victims[1]->vpn, 1u);
-  EXPECT_EQ(victims[2]->vpn, 2u);
+  EXPECT_EQ(space_.VpnOf(*victims[0]), 0u);
+  EXPECT_EQ(space_.VpnOf(*victims[1]), 1u);
+  EXPECT_EQ(space_.VpnOf(*victims[2]), 2u);
   for (PageInfo* v : victims) {
     EXPECT_FALSE(v->lru_linked());
   }
   // The persistent hand resumes where it stopped.
   scanned = lru_.IsolateCandidates(LruPool::kAnon, 3, 16, nullptr, victims);
   ASSERT_EQ(victims.size(), 3u);
-  EXPECT_EQ(victims[0]->vpn, 3u);
-  EXPECT_EQ(victims[2]->vpn, 5u);
+  EXPECT_EQ(space_.VpnOf(*victims[0]), 3u);
+  EXPECT_EQ(space_.VpnOf(*victims[2]), 5u);
   EXPECT_EQ(lru_.total_size(), 0u);
 }
 
@@ -108,7 +108,7 @@ TEST_F(GenClockTest, TouchRejuvenatesIntoCurrentGeneration) {
   EXPECT_EQ(scanned, 3u);
   ASSERT_EQ(victims.size(), 3u);
   for (PageInfo* v : victims) {
-    EXPECT_NE(v->vpn, 2u);
+    EXPECT_NE(space_.VpnOf(*v), 2u);
   }
   lru_.Remove(AnonPage(2));
 }
@@ -136,7 +136,7 @@ TEST_F(GenClockTest, VictimFilterLeavesPageLaggingAndRecharges) {
     lru_.Insert(AnonPage(i));
   }
   lru_.Balance(LruPool::kAnon);
-  auto protect_low = [](const AddressSpace&, const PageInfo& p) { return p.vpn < 2; };
+  auto protect_low = [](const AddressSpace& s, const PageInfo& p) { return s.VpnOf(p) < 2; };
   std::vector<PageInfo*> victims;
   uint32_t scanned = lru_.IsolateCandidates(LruPool::kAnon, 4, 16, protect_low, victims);
   // All four examined; the two protected pages stay linked and lagging.

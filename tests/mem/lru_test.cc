@@ -168,7 +168,9 @@ TEST_F(LruTest, IsolateReturnsPagesExaminedNotIsolated) {
   AnonPage(0)->set_referenced(true);
   AnonPage(1)->set_referenced(true);
   // Pages 2 and 3 are filter-protected.
-  auto filter = [](const AddressSpace&, const PageInfo& p) { return p.vpn == 2 || p.vpn == 3; };
+  auto filter = [](const AddressSpace& s, const PageInfo& p) {
+    return s.VpnOf(p) == 2 || s.VpnOf(p) == 3;
+  };
   std::vector<PageInfo*> victims;
   uint32_t examined = lru_.IsolateCandidates(LruPool::kAnon, 2, 32, filter, victims);
   // Scan order from the tail: 0 (promote), 1 (promote), 2 (rotate),

@@ -302,7 +302,7 @@ TEST_F(ReclaimTest, ScannedCountsVictimFilterRotations) {
   TouchAll(space, 400);
   // Protect even vpns: half the scanned tail rotates instead of evicting.
   mm_.set_victim_filter(
-      [](const AddressSpace&, const PageInfo& page) { return page.vpn % 2 == 0; });
+      [](const AddressSpace& s, const PageInfo& page) { return s.VpnOf(page) % 2 == 0; });
   ReclaimResult r = mm_.KswapdBatch();
   ASSERT_GT(r.reclaimed, 0u);
   EXPECT_GT(r.scanned, r.reclaimed);

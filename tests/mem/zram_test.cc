@@ -21,7 +21,7 @@ TEST(Zram, StoresAndDrops) {
   AddressSpace space(1, 1, "t", AnonLayout(16));
   PageInfo* p = &space.page(0);
 
-  EXPECT_TRUE(zram.Store(p));
+  EXPECT_TRUE(zram.Store(space, p));
   EXPECT_GT(p->zram_bytes, 0u);
   EXPECT_LT(p->zram_bytes, kPageSize);
   EXPECT_EQ(zram.stored_pages(), 1u);
@@ -40,7 +40,7 @@ TEST(Zram, CompressionRatioIsPlausible) {
   AddressSpace space(1, 1, "t", AnonLayout(1000));
   uint64_t total = 0;
   for (uint32_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(zram.Store(&space.page(i)));
+    ASSERT_TRUE(zram.Store(space, &space.page(i)));
     total += space.page(i).zram_bytes;
   }
   double ratio = 1000.0 * kPageSize / total;
@@ -58,7 +58,7 @@ TEST(Zram, CapacityBound) {
   AddressSpace space(1, 1, "t", AnonLayout(100));
   uint32_t stored = 0;
   for (uint32_t i = 0; i < 100; ++i) {
-    if (!zram.Store(&space.page(i))) {
+    if (!zram.Store(space, &space.page(i))) {
       break;
     }
     ++stored;
@@ -76,7 +76,7 @@ TEST(Zram, DropMakesRoomAgain) {
   AddressSpace space(1, 1, "t", AnonLayout(100));
   std::vector<uint32_t> stored;
   for (uint32_t i = 0; i < 100; ++i) {
-    if (!zram.Store(&space.page(i))) {
+    if (!zram.Store(space, &space.page(i))) {
       break;
     }
     stored.push_back(i);
@@ -95,7 +95,7 @@ TEST(Zram, UtilizationReflectsFill) {
   Zram zram(config, Rng(5));
   EXPECT_DOUBLE_EQ(zram.utilization(), 0.0);
   AddressSpace space(1, 1, "t", AnonLayout(10));
-  zram.Store(&space.page(0));
+  zram.Store(space, &space.page(0));
   EXPECT_GT(zram.utilization(), 0.0);
   zram.Drop(&space.page(0));
 }
@@ -119,13 +119,12 @@ TEST(Zram, ZramBytesSurvivesBitPacking) {
   Zram zram(config, Rng(7));
   AddressSpace space(1, 1, "t", AnonLayout(4));
   PageInfo* p = &space.page(0);
-  ASSERT_TRUE(zram.Store(p));
+  ASSERT_TRUE(zram.Store(space, p));
   const uint32_t bytes = p->zram_bytes;
   ASSERT_GT(bytes, 0u);
   p->evict_cookie = 0x1234567890abcdefull;
 
   p->set_state(PageState::kInZram);
-  p->set_kind(HeapKind::kNativeHeap);
   p->set_dirty(true);
   p->set_referenced(true);
   p->set_active(true);
@@ -133,7 +132,6 @@ TEST(Zram, ZramBytesSurvivesBitPacking) {
   EXPECT_EQ(p->zram_bytes, bytes);
   EXPECT_EQ(p->evict_cookie, 0x1234567890abcdefull);
   EXPECT_EQ(p->state(), PageState::kInZram);
-  EXPECT_EQ(p->kind(), HeapKind::kNativeHeap);
 
   p->set_dirty(false);
   p->set_referenced(false);

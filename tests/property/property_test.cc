@@ -167,14 +167,14 @@ TEST_P(PageStateProperty, StatesStayCoherent) {
       case PageState::kInZram:
         EXPECT_FALSE(p.lru_linked());
         EXPECT_GT(p.zram_bytes, 0u);
-        EXPECT_TRUE(IsAnon(p.kind()));
+        EXPECT_TRUE(IsAnon(space.KindOf(space.VpnOf(p))));
         EXPECT_GT(p.evict_cookie, 0u);
         zram_pages += 1;
         ++evicted;
         break;
       case PageState::kOnFlash:
         EXPECT_FALSE(p.lru_linked());
-        EXPECT_EQ(p.kind(), HeapKind::kFile);
+        EXPECT_EQ(space.KindOf(space.VpnOf(p)), HeapKind::kFile);
         EXPECT_EQ(p.zram_bytes, 0u);
         EXPECT_GT(p.evict_cookie, 0u);
         ++evicted;
@@ -245,7 +245,7 @@ TEST_P(LruProperty, SizesConserveAndNoDoubleLinks) {
         lru.IsolateCandidates(rng.Chance(0.5) ? LruPool::kAnon : LruPool::kFile, 4, 16,
                               nullptr, victims);
         for (PageInfo* v : victims) {
-          linked[v->vpn] = false;
+          linked[space.VpnOf(*v)] = false;
           --expected;
         }
         break;

@@ -16,9 +16,9 @@
 namespace ice {
 namespace {
 
-// The flag word is full (state:3 | kind:2 | dirty | referenced | active |
-// linked | generation:3 | hotness:3 | zram_dense): adding the swap bits must
-// not have grown the record past its two-per-cache-line budget.
+// The flag word (state:3 | free:2 | dirty | referenced | active | linked |
+// generation:3 | hotness:3 | zram_dense): adding the swap bits must not have
+// grown the record past its two-per-cache-line budget.
 static_assert(sizeof(PageInfo) == 32, "PageInfo must stay exactly 32 bytes");
 static_assert(alignof(PageInfo) == 32);
 
@@ -41,7 +41,6 @@ TEST(PageBits, HotnessCannotClobberNeighbours) {
   p.zram_bytes = 0xdeadbeef;
   p.evict_cookie = 0x1234567890abcdefull;
   p.set_state(PageState::kInZram);
-  p.set_kind(HeapKind::kNativeHeap);
   p.set_dirty(true);
   p.set_referenced(true);
   p.set_active(true);
@@ -55,7 +54,6 @@ TEST(PageBits, HotnessCannotClobberNeighbours) {
     EXPECT_EQ(p.zram_bytes, 0xdeadbeefu);
     EXPECT_EQ(p.evict_cookie, 0x1234567890abcdefull);
     EXPECT_EQ(p.state(), PageState::kInZram);
-    EXPECT_EQ(p.kind(), HeapKind::kNativeHeap);
     EXPECT_TRUE(p.dirty());
     EXPECT_TRUE(p.referenced());
     EXPECT_TRUE(p.active());

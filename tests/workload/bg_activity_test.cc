@@ -131,11 +131,12 @@ TEST(PeriodicTouchBehavior, TouchesSampleBothRegions) {
     if (p.state() == PageState::kUntouched) {
       continue;
     }
+    const uint32_t vpn = space.VpnOf(p);
     int r = 0;
-    while (r < 2 && (p.vpn < params.regions[r].begin || p.vpn >= params.regions[r].end)) {
+    while (r < 2 && (vpn < params.regions[r].begin || vpn >= params.regions[r].end)) {
       ++r;
     }
-    ASSERT_LT(r, 2) << "vpn " << p.vpn << " lies outside both regions";
+    ASSERT_LT(r, 2) << "vpn " << vpn << " lies outside both regions";
     in_region[r] += p.state() == PageState::kPresent ? 1 : 0;
   }
   EXPECT_GT(in_region[0], 0u);

@@ -2,7 +2,8 @@
 """Symbolizes and summarizes a profile written by the SIGPROF sampler.
 
     python3 tools/sigprof/report.py prof.txt [more.txt ...] [--top 25]
-        [--stack 'label=OUTER>...>INNER' ...] [--require REGEX]
+        [--stack 'label=OUTER>...>INNER' ...] [--lines REGEX ...]
+        [--require REGEX]
 
 Every sampled address is resolved with `addr2line -f -i -C`, so a sample's
 stack lists inlined functions too (innermost first). Several profiles (say,
@@ -15,6 +16,11 @@ one per seed) are pooled. Shares are of all samples:
   last match to be the innermost frame. For example
   'bg touch self=PeriodicTouchBehavior::Run>TaskContext::Touch>MemoryManager::Access!'
   is the time a background touch spends in Access's own instructions;
+- --lines: the samples whose innermost frame matches REGEX, counted by the
+  source line of the sampled instruction (file:line, from the debug info;
+  '??:0' without -g), the top lines first. For example
+  --lines 'MemoryManager::Access' shows which statement of Access (or of a
+  function inlined into it) the self time lands on;
 - --require: exits 1 unless some sample has a frame matching REGEX (a
   profile that attributes nothing to the simulator is a broken profile).
 
@@ -48,7 +54,8 @@ def parse(path):
 
 
 def symbolize(maps, samples):
-    """Returns {(address, is_leaf): [innermost function, ..., outermost]}."""
+    """Returns {(address, is_leaf): [innermost function, ..., outermost]} and
+    {(address, True): file:line of the innermost frame}."""
     wanted = {}  # object path -> {lookup offset: keys}
     for stack in samples:
         for depth, addr in enumerate(stack):
@@ -59,7 +66,7 @@ def symbolize(maps, samples):
                     key = (addr, depth == 0)
                     wanted.setdefault(name, {}).setdefault(lookup - start + offset, set()).add(key)
                     break
-    names = {}
+    names, lines = {}, {}
     for obj, offsets in wanted.items():
         order = sorted(offsets)
         for lo in range(0, len(order), 5000):
@@ -76,20 +83,24 @@ def symbolize(maps, samples):
                     frames[current] = []
                     i += 1
                     continue
-                frames[current].append(line)
-                i += 2  # Function line, then its file:line.
+                # Function line, then its file:line.
+                frames[current].append((line, out[i + 1] if i + 1 < len(out) else "??:0"))
+                i += 2
             # Shared libraries usually lack debug info, and their nearest
             # exported symbol can be a neighbour (libm's pow resolves to
             # f64xsubf128), so their frames carry the library's name.
             base = obj.rsplit("/", 1)[-1]
             tag = f" [{base}]" if ".so" in base else ""
             for off in chunk:
-                chain = [f + tag for f in frames.get(off, []) if f != "??"]
+                found = frames.get(off, [])
+                chain = [f + tag for f, _ in found if f != "??"]
                 if not chain:
                     chain = [f"?? [{base}]"]
                 for key in offsets[off]:
                     names[key] = chain
-    return names
+                    if key[1]:
+                        lines[key] = found[0][1].split(" (discriminator")[0] if found else "??:0"
+    return names, lines
 
 
 def expand(stack, names):
@@ -130,16 +141,18 @@ def main():
     ap.add_argument("profiles", nargs="+")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--stack", action="append", default=[], metavar="LABEL=OUTER>...>INNER")
+    ap.add_argument("--lines", action="append", default=[], metavar="REGEX")
     ap.add_argument("--require", metavar="REGEX")
     args = ap.parse_args()
 
-    stacks = []
+    stacks, leaf_lines = [], []
     for path in args.profiles:
         header, maps, samples = parse(path)
         samples = [s for s in samples if s]
         print(f"{path}: {header}")
-        names = symbolize(maps, samples)
+        names, lines = symbolize(maps, samples)
         stacks.extend(expand(s, names) for s in samples)
+        leaf_lines.extend(lines.get((s[0], True), "??:0") for s in samples)
     total = len(stacks)
     if total == 0:
         print("no samples")
@@ -162,6 +175,16 @@ def main():
         patterns = [re.compile(p) for p in chain.rstrip("!").split(">")]
         n = sum(1 for frames in stacks if matches_in_order(frames, patterns, leaf))
         print(f"{100.0 * n / total:6.1f}%  {label}  [{chain}]")
+
+    for regex in args.lines:
+        pattern = re.compile(regex)
+        by_line = collections.Counter(
+            line for frames, line in zip(stacks, leaf_lines) if pattern.search(frames[0]))
+        n = sum(by_line.values())
+        print(f"\nlines of innermost frames matching {regex!r}: {100.0 * n / total:.1f}% "
+              f"of samples")
+        for line, count in by_line.most_common(args.top):
+            print(f"{100.0 * count / total:6.1f}%  {line}")
 
     if args.require:
         pattern = re.compile(args.require)
