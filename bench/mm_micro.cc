@@ -1,4 +1,4 @@
-// Memory-manager hot-path microbenchmarks: the packed 32-byte PageInfo with
+// Memory-manager hot-path microbenchmarks: the packed 16-byte PageInfo with
 // index-linked LRU lists against the pointer-based layout it replaced
 // (56-byte records with an intrusive prev/next pointer pair and an owner
 // back-pointer).
@@ -7,7 +7,7 @@
 // active-head insert, second-chance promotion, inactive_is_low balancing,
 // victim-filter rotation) so the comparison stays runnable after the old
 // code is gone. Working sets are sized past the LLC (256k-1M pages, i.e.
-// 8-56 MB of page metadata) because the win is cache behavior: two packed
+// 4-56 MB of page metadata) because the win is cache behavior: four packed
 // records share a 64-byte line where one legacy record spilled over it.
 //
 // Set ICE_BENCH_ITERS to pin the iteration count (CI smoke runs do, so the
@@ -256,6 +256,10 @@ void SetState(LegacyPageInfo* p, PageState s) { p->state = s; }
 void SetState(PageInfo* p, PageState s) { p->set_state(s); }
 void SetDirty(LegacyPageInfo* p, bool v) { p->dirty = v; }
 void SetDirty(PageInfo* p, bool v) { p->set_dirty(v); }
+uint64_t Cookie(const LegacyPageInfo* p) { return p->evict_cookie; }
+uint64_t Cookie(const PageInfo* p) { return p->evict_cookie(); }
+void SetCookie(LegacyPageInfo* p, uint64_t cookie) { p->evict_cookie = cookie; }
+void SetCookie(PageInfo* p, uint64_t cookie) { p->set_evict_cookie(cookie); }
 // Tasks build one `[this]{ Wake(); }` waker each and hand out const refs;
 // pushing it onto a waiter list is a small-buffer copy, never an allocation.
 void BeginFault(LegacyFixture& f, uint32_t vpn) { f.book.Begin(&f.lru, vpn, f.waker); }
@@ -290,7 +294,7 @@ void ShuffledInsert(Fixture& fix, uint32_t pages) {
 // Access-hit path: every present page sits on an LRU; the workload is random
 // Touch()es across the whole working set — the kPresent fast path of
 // MemoryManager::Access. Legacy chases a pointer into a 56-byte record;
-// packed reads a 32-byte record at a computed offset.
+// packed reads a 16-byte record at a computed offset.
 // ---------------------------------------------------------------------------
 
 template <class Fixture>
@@ -327,7 +331,7 @@ constexpr uint32_t kChurnBatch = 32;
 
 template <class Page>
 void EvictRecord(Page* page, uint64_t seq) {
-  page->evict_cookie = seq;
+  SetCookie(page, seq);
   SetState(page, PageState::kOnFlash);
   SetDirty(page, false);
 }
@@ -336,11 +340,11 @@ void EvictRecord(Page* page, uint64_t seq) {
 // shadow tracker looks up the eviction cookie to compute refault distance,
 // and dropping the zram copy reads the stored compressed size. On the
 // legacy layout those fields live past byte 32, i.e. usually on a second
-// cache line.
+// cache line; the packed record keeps the cookie in its link word.
 template <class Page>
 uint64_t RefaultRecord(Page* page) {
-  uint64_t cold = page->evict_cookie + page->zram_bytes;
-  page->evict_cookie = 0;
+  uint64_t cold = Cookie(page) + page->zram_bytes;
+  SetCookie(page, 0);
   SetState(page, PageState::kPresent);
   return cold;
 }

@@ -318,10 +318,12 @@ void Experiment::SaveSnapshotInto(BinaryWriter& w) const {
   ICE_CHECK(QuiescentNow()) << "snapshot requires a quiescent tick boundary";
   // The stream is dominated by the page-arena dumps; growing a vector to
   // tens of megabytes by doubling would copy the whole payload again, so
-  // size it up front (an eighth of slack plus 4 MiB covers every other
-  // section, including a full trace ring). On a reused writer whose buffer
-  // already reached this size, Reserve is a no-op.
-  w.Reserve(mm_->arena_bytes_live() + mm_->arena_bytes_live() / 8 + (4u << 20));
+  // size it up front from the v2 image of every record (an eighth of slack
+  // plus 4 MiB covers every other section, including a full trace ring). On
+  // a reused writer whose buffer already reached this size, Reserve is a
+  // no-op.
+  const uint64_t image_bytes = mm_->arena_pages_live() * kSnapshotRecordBytes;
+  w.Reserve(image_bytes + image_bytes / 8 + (4u << 20));
   SnapshotArchive ar(w);
   // Transfer serves both directions, so it is not const; saving only reads.
   const_cast<Experiment*>(this)->TransferSections(ar, /*seed_agnostic=*/false);

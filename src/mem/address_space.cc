@@ -27,12 +27,12 @@ constexpr int kHugePageAdvice = 0;
 #endif
 
 // Maps a zero-filled arena of `bytes` (> 0) on a private anonymous mapping
-// of its own. Kernel zero-fill leaves PageInfo's padding (26 payload bytes
-// in a 32-byte record) zero, which the raw snapshot dump needs: garbage
-// padding would make otherwise-identical states compare unequal byte-wise.
-// The mapping is page-aligned, so records pair up two per cache line. It
-// ends at least one record past the arena, and ASan builds poison that
-// tail, so an overrun of the last record is reported.
+// of its own. Kernel zero-fill leaves PageInfo's padding (14 payload bytes
+// in a 16-byte record) zero, so a record nobody wrote is all zero: the
+// fresh record, which the sparse snapshot dump leaves out. The mapping is
+// page-aligned, so records sit four to a cache line. It ends at least one
+// record past the arena, and ASan builds poison that tail, so an overrun of
+// the last record is reported.
 //
 // On Linux an arena of 2 MiB or more starts on a 2 MiB boundary (2 MiB of
 // extra address space is reserved, and what the alignment skips is given
@@ -126,22 +126,23 @@ struct V2Record {
   uint16_t bits = 0;  // PageInfo's flag word with the heap kind in bits 3-4.
   uint8_t zero[6] = {};
 };
-static_assert(sizeof(V2Record) == 32 && std::is_trivially_copyable_v<V2Record>);
+static_assert(sizeof(V2Record) == kSnapshotRecordBytes &&
+              std::is_trivially_copyable_v<V2Record>);
 
 constexpr int kV2KindShift = 3;
 constexpr uint16_t kV2KindBits = 0x3 << kV2KindShift;
 
-// Whether a record is fresh: all zero. Off the two-list lists the links are
-// zero (LruLists::Unlink), so this is exactly a record whose v2 image is the
-// fresh record's, the ones the sparse dump leaves out.
+// Whether a record is fresh: all zero. The link word is zero unless the page
+// is on a two-list list or evicted (LruLists::Unlink writes zeros), so this
+// is exactly a record whose v2 image is the fresh record's, the ones the
+// sparse dump leaves out.
 bool IsFresh(const PageInfo& p) {
-  return p.bits() == 0 && p.zram_bytes == 0 && p.evict_cookie == 0 && p.lru.prev == 0 &&
-         p.lru.next == 0;
+  return p.bits() == 0 && p.zram_bytes == 0 && p.lru.prev == 0 && p.lru.next == 0;
 }
 
 }  // namespace
 
-void AddressSpace::Transfer(SnapshotArchive& ar) {
+void AddressSpace::Transfer(SnapshotArchive& ar, ZramUsage* restored_zram) {
   ar.Expect<uint32_t>(space_id_, "address-space id");
   ar.Expect<uint64_t>(page_count_, "address-space page count");
   // Sparse arena dump: only runs of records that are not fresh, as {u32
@@ -170,24 +171,29 @@ void AddressSpace::Transfer(SnapshotArchive& ar) {
     }
   }
   // The v2 image takes vpn and heap kind from the record's position, and
-  // links only from a record on a two-list list.
+  // reads the link word as links on a two-list list and as the shadow
+  // cookie everywhere else (zero unless the page is evicted).
   auto to_image = [&](uint32_t vpn) {
     const PageInfo& p = pages_[vpn];
     V2Record r;
     if (lru_.on_two_list(p)) {
       r.prev = p.lru.prev;
       r.next = p.lru.next;
+    } else {
+      r.evict_cookie = p.evict_cookie();
     }
     r.vpn = vpn;
     r.zram_bytes = p.zram_bytes;
-    r.evict_cookie = p.evict_cookie;
     r.bits = static_cast<uint16_t>(p.bits() | static_cast<uint16_t>(KindOf(vpn)) << kV2KindShift);
     return r;
   };
   // Restore checks every field that indexes something or selects a code
   // path, and stores a record only once it passed: a snapshot is taken at a
-  // quiescent point, so no page is mid-fault. Returns why the image cannot
-  // be this space's record at `vpn`, or "" once stored.
+  // quiescent point, so no page is mid-fault, a linked page is present, and
+  // a page carries a shadow cookie exactly when it is evicted and a zram
+  // size exactly when it is in zram. The link word then holds either the
+  // links or the cookie, never both. Returns why the image cannot be this
+  // space's record at `vpn`, or "" once stored.
   auto from_image = [&](const V2Record& r, uint32_t vpn) -> std::string {
     if (r.vpn != vpn) {
       return "record carries vpn " + std::to_string(r.vpn);
@@ -201,6 +207,12 @@ void AddressSpace::Transfer(SnapshotArchive& ar) {
       return "state " + std::to_string(static_cast<int>(flags.state())) +
              " is not a quiescent page state";
     }
+    auto on_state = [&] {
+      return " on a page in state " + std::to_string(static_cast<int>(flags.state()));
+    };
+    if (flags.lru_linked() && flags.state() != PageState::kPresent) {
+      return "LRU membership" + on_state();
+    }
     const bool listed = lru_.on_two_list(flags);
     for (uint32_t link : {r.prev, r.next}) {
       if (link != kNoPage && (!listed || link >= page_count_)) {
@@ -208,13 +220,25 @@ void AddressSpace::Transfer(SnapshotArchive& ar) {
                (listed ? " outside the arena" : " on a page off the two-list lists");
       }
     }
+    const bool in_zram = flags.state() == PageState::kInZram;
+    if ((r.evict_cookie != 0) != (in_zram || flags.state() == PageState::kOnFlash)) {
+      return "shadow cookie " + std::to_string(r.evict_cookie) + on_state();
+    }
+    if ((r.zram_bytes != 0) != in_zram) {
+      return "zram size " + std::to_string(r.zram_bytes) + on_state();
+    }
     PageInfo& p = pages_[vpn];
     p.set_bits(flags.bits());
     if (listed) {
       p.lru = PageLinks{r.prev, r.next};
+    } else {
+      p.set_evict_cookie(r.evict_cookie);
     }
     p.zram_bytes = r.zram_bytes;
-    p.evict_cookie = r.evict_cookie;
+    if (in_zram && restored_zram != nullptr) {
+      restored_zram->bytes += r.zram_bytes;
+      ++restored_zram->pages;
+    }
     return "";
   };
   // Whether links may be set depends on the aging policy, which the stream

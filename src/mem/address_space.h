@@ -4,7 +4,7 @@
 // Page metadata lives in one contiguous arena (`pages_`) sized at
 // construction, on a private anonymous mapping of its own, so a space's
 // records are a single slab: the reclaim scan and LRU rotation walk packed
-// 32-byte entries instead of pointer-chasing heap nodes. Capacity is fixed
+// 16-byte entries instead of pointer-chasing heap nodes. Capacity is fixed
 // so PageInfo records never move — LRU index links and in-flight faults
 // address pages by vpn for the AddressSpace lifetime. The all-zero record is
 // the fresh one, so constructing a space writes no record, and a record's
@@ -41,6 +41,18 @@ struct AddressSpaceLayout {
 struct PageArenaDeleter {
   size_t map_bytes = 0;
   void operator()(PageInfo* pages) const;
+};
+
+// Bytes one page record takes in snapshot format v2: the image of the
+// format's first release, whatever sizeof(PageInfo) is now. The memory
+// manager's arena counters are stored in these units too.
+inline constexpr size_t kSnapshotRecordBytes = 32;
+
+// The in-zram page records a restore stored: their compressed sizes and
+// count, which must add up to the zram store's totals.
+struct ZramUsage {
+  uint64_t bytes = 0;
+  uint64_t pages = 0;
 };
 
 // Value of space_id() before MemoryManager::Register assigns one.
@@ -131,8 +143,10 @@ class AddressSpace {
   // indices) plus residency counters and LRU/gen-clock heads. Restoring
   // requires a structurally identical space (same layout, built by replaying
   // process creation) and overwrites its dynamic state; it throws on a
-  // record whose vpn, heap kind, state or links cannot be this space's.
-  void Transfer(SnapshotArchive& ar);
+  // record whose vpn, heap kind, state, links, shadow cookie or zram size
+  // cannot be this space's, and adds the restored in-zram records to
+  // `restored_zram` when one is given.
+  void Transfer(SnapshotArchive& ar, ZramUsage* restored_zram = nullptr);
 
   // Per-address-space LRU lists: the memcg model. Android places each app in
   // its own memory cgroup, and kswapd applies reclaim pressure to every

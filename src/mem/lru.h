@@ -9,7 +9,8 @@
 //    lives in one AddressSpace's contiguous arena, so the link stored in
 //    PageInfo is the neighbor's vpn (32 bits) and the list header is three
 //    32-bit words — half the per-page link footprint of an intrusive
-//    pointer list, with a scan hop plus the flag word in one cache line.
+//    pointer list, in an 8-byte word the page's shadow cookie reuses while
+//    it is evicted, so a record is 16 bytes and four share a cache line.
 //
 //  * Gen-clock: an MGLRU-style generation clock (src/mem/gen_clock.cc).
 //    Each pool keeps a 3-bit clock; a linked page stores the clock value of
@@ -145,7 +146,8 @@ class LruLists {
   static constexpr uint32_t kScanBatch = 8;
 
   // Whether `page` is on a two-list list, the only place its links mean
-  // anything (the snapshot image writes kNoPage links for every other one).
+  // anything (elsewhere the word holds the shadow cookie or zero, and the
+  // snapshot image writes kNoPage links).
   bool on_two_list(const PageInfo& page) const {
     return aging_ == AgingPolicy::kTwoList && page.lru_linked();
   }

@@ -1,6 +1,7 @@
 #include "src/mem/memory_manager.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -86,8 +87,8 @@ void MemoryManager::Register(AddressSpace& space) {
   space.set_space_id(next_space_id_++);
   space.lru().set_aging(config_.aging);
   spaces_.push_back(&space);
-  arena_bytes_live_ += space.arena_bytes();
-  arena_bytes_peak_ = std::max(arena_bytes_peak_, arena_bytes_live_);
+  arena_pages_live_ += space.total_pages();
+  arena_pages_peak_ = std::max(arena_pages_peak_, arena_pages_live_);
 }
 
 void MemoryManager::Release(AddressSpace& space) {
@@ -96,7 +97,7 @@ void MemoryManager::Release(AddressSpace& space) {
     return;  // Never registered, or forgotten with the rest (ForgetSpaces).
   }
   spaces_.erase(it);
-  arena_bytes_live_ -= space.arena_bytes();
+  arena_pages_live_ -= space.total_pages();
   for (PageInfo& p : space.pages()) {
     switch (p.state()) {
       case PageState::kPresent:
@@ -129,7 +130,8 @@ void MemoryManager::Release(AddressSpace& space) {
     p.set_referenced(false);
     p.set_hotness(0);
     p.set_zram_dense(false);
-    p.evict_cookie = 0;
+    // An evicted page's shadow cookie; zero already on every other state.
+    p.set_evict_cookie(0);
   }
   space.AddResident(-static_cast<int64_t>(space.resident()));
   space.AddEvicted(-static_cast<int64_t>(space.evicted()));
@@ -138,7 +140,7 @@ void MemoryManager::Release(AddressSpace& space) {
 
 void MemoryManager::ForgetSpaces() {
   spaces_.clear();
-  arena_bytes_live_ = 0;
+  arena_pages_live_ = 0;
 }
 
 void MemoryManager::ResetForRecycle() {
@@ -153,8 +155,8 @@ void MemoryManager::ResetForRecycle() {
   has_zram_reject_ = false;
   free_pages_ = static_cast<int64_t>(config_.total_pages - config_.os_reserved_pages);
   foreground_uid_ = kInvalidUid;
-  arena_bytes_live_ = 0;
-  arena_bytes_peak_ = 0;
+  arena_pages_live_ = 0;
+  arena_pages_peak_ = 0;
   kswapd_woken_ = false;
   writeback_pending_ = 0;
 }
@@ -429,8 +431,22 @@ void MemoryManager::Transfer(SnapshotArchive& ar) {
   ar.U64(zram_frames_held_);
   ar.U64(writeback_pending_);
   ar.I64(foreground_uid_);
-  ar.U64(arena_bytes_live_);
-  ar.U64(arena_bytes_peak_);
+  // Format v2 counts arena bytes at its own record size, whatever
+  // sizeof(PageInfo) is now. The spaces were registered by the lifecycle
+  // replay, so the restored live figure must be theirs.
+  uint64_t live_bytes = arena_pages_live_ * kSnapshotRecordBytes;
+  uint64_t peak_bytes = arena_pages_peak_ * kSnapshotRecordBytes;
+  ar.U64(live_bytes);
+  ar.U64(peak_bytes);
+  if (ar.loading()) {
+    if (live_bytes != arena_pages_live_ * kSnapshotRecordBytes ||
+        peak_bytes % kSnapshotRecordBytes != 0 || peak_bytes < live_bytes) {
+      SnapshotArchive::Fail("arena bytes live " + std::to_string(live_bytes) + ", peak " +
+                            std::to_string(peak_bytes) + " do not fit " +
+                            std::to_string(arena_pages_live_) + " registered page records");
+    }
+    arena_pages_peak_ = peak_bytes / kSnapshotRecordBytes;
+  }
   ar.Bool(kswapd_woken_);
   contention_rng_.Transfer(ar);
   zram_.Transfer(ar);
@@ -439,8 +455,16 @@ void MemoryManager::Transfer(SnapshotArchive& ar) {
   ar.U64(last_zram_reject_time_);
   swap_gov_.Transfer(ar);
   ar.Expect<uint64_t>(spaces_.size(), "registered space count");
+  ZramUsage in_zram;
   for (AddressSpace* space : spaces_) {
-    space->Transfer(ar);
+    space->Transfer(ar, &in_zram);
+  }
+  if (ar.loading() &&
+      (in_zram.bytes != zram_.stored_bytes() || in_zram.pages != zram_.stored_pages())) {
+    SnapshotArchive::Fail("in-zram page records hold " + std::to_string(in_zram.pages) +
+                          " pages, " + std::to_string(in_zram.bytes) + " bytes; zram stores " +
+                          std::to_string(zram_.stored_pages()) + " pages, " +
+                          std::to_string(zram_.stored_bytes()) + " bytes");
   }
 }
 

@@ -195,9 +195,11 @@ class MemoryManager {
   // sized at construction and pinned, so `live` moves only on
   // Register/Release and `peak` is the high-water mark — the simulator's own
   // metadata footprint for this device, surfaced per fleet group so low-RAM
-  // tier claims are backed by data.
-  uint64_t arena_bytes_live() const { return arena_bytes_live_; }
-  uint64_t arena_bytes_peak() const { return arena_bytes_peak_; }
+  // tier claims are backed by data. Counted in page records; the byte
+  // figures are those records at sizeof(PageInfo).
+  uint64_t arena_pages_live() const { return arena_pages_live_; }
+  uint64_t arena_bytes_live() const { return arena_pages_live_ * sizeof(PageInfo); }
+  uint64_t arena_bytes_peak() const { return arena_pages_peak_ * sizeof(PageInfo); }
   // Total pages on file LRUs across spaces (for MemAvailable).
   PageCount file_lru_pages() const;
 
@@ -209,7 +211,10 @@ class MemoryManager {
   // Requires a quiescent point: no in-flight flash faults, no reclaim in
   // progress (ICE_CHECKed). Restoring expects `spaces_` to already hold
   // structurally identical spaces in the same registration order (process
-  // creation replay) and overwrites their dynamic state.
+  // creation replay) and overwrites their dynamic state. The arena counters
+  // are stored in format v2's bytes (kSnapshotRecordBytes per page); restore
+  // throws on counters that do not fit the replayed spaces, and on in-zram
+  // records whose sizes or count disagree with the zram store's totals.
   void Transfer(SnapshotArchive& ar);
 
   // Recycling support: rewinds the manager to its just-constructed state so a
@@ -310,8 +315,8 @@ class MemoryManager {
 
   int64_t free_pages_ = 0;
   Uid foreground_uid_ = kInvalidUid;
-  uint64_t arena_bytes_live_ = 0;
-  uint64_t arena_bytes_peak_ = 0;
+  uint64_t arena_pages_live_ = 0;
+  uint64_t arena_pages_peak_ = 0;
 
   LruLists::VictimFilter victim_filter_;
   std::function<void()> kswapd_waker_;

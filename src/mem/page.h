@@ -2,19 +2,25 @@
 //
 // Layout budget: the reclaim scan, LRU rotation and refault path touch this
 // record millions of times per simulated second, so it is packed into a
-// 32-byte slab entry (two per cache line):
+// 16-byte slab entry (four per cache line):
 //
-//   PageLinks lru       8 bytes  32-bit index links (vpn within the owning
-//                                AddressSpace arena) instead of 16 bytes of
-//                                intrusive-list pointers
+//   PageLinks lru       8 bytes  shared word: 32-bit index links (vpn within
+//                                the owning AddressSpace arena) while the
+//                                page is on a two-list LRU list, the 64-bit
+//                                workingset shadow cookie while it is evicted
+//                                (kInZram, kOnFlash), zero otherwise
 //   zram_bytes          4 bytes  compressed size while in ZRAM
-//   (free)              4 bytes
-//   evict_cookie        8 bytes  workingset shadow entry (kept 64-bit: the
-//                                global eviction sequence overflows 32 bits
-//                                on long sweeps)
 //   bits                2 bytes  state:3 | (free):2 | dirty | referenced |
 //                                active | linked | generation:3 |
 //                                hotness:3 | zram_dense
+//   (free)              2 bytes
+//
+// The word can be shared because the kernel keeps the same invariant: a
+// page's shadow entry sits in the page-cache slot the page vacated, so a
+// page is either resident and on an LRU list or evicted and carrying a
+// shadow entry, never both. Eviction stamps the cookie only after the page
+// was unlinked, a refault consumes it before the page is relinked, and
+// unlinking writes zeros; gen-clock aging never writes links at all.
 //
 // The record holds dynamic state only, and the all-zero record is the fresh
 // (never touched) one, so a new arena is the kernel's zero-fill and nothing
@@ -66,8 +72,9 @@ inline constexpr uint32_t kNoPage = UINT32_MAX;
 // AddressSpace's page arena) — half the size of the pointer-based intrusive
 // node it replaced, so a list hop plus the flag word land in one cache line.
 // The links mean something only while the record is on a two-list LRU list
-// (kNoPage ends the list there); off the lists, and under the gen-clock
-// policy, they stay zero.
+// (kNoPage ends the list there). The same word holds the shadow cookie of an
+// evicted page (PageInfo::evict_cookie); otherwise, and for every present
+// page under the gen-clock policy, it stays zero.
 struct PageLinks {
   uint32_t prev = 0;
   uint32_t next = 0;
@@ -88,20 +95,29 @@ struct PageHandle {
   bool operator==(const PageHandle& o) const { return packed == o.packed; }
 };
 
-struct alignas(32) PageInfo {
-  // LRU list membership; managed exclusively by LruLists.
+struct alignas(16) PageInfo {
+  // LRU list membership while the page is on a two-list list, managed
+  // exclusively by LruLists; the shadow cookie while it is evicted.
   PageLinks lru;
 
   // Compressed size while in ZRAM.
   uint32_t zram_bytes = 0;
 
   // Workingset shadow entry: the global eviction sequence number at the time
-  // this page was last evicted, or 0 when the page has never been evicted.
-  // A fault on a page with a nonzero cookie is a *refault* and the distance
-  // is (current sequence - cookie), matching mm/workingset.c. The shadow
-  // entry is packed into the page record itself (the kernel packs it into
-  // the vacated radix-tree slot), so evictions allocate nothing.
-  uint64_t evict_cookie = 0;
+  // this page was last evicted, or 0 when the page is not evicted. A fault on
+  // a page with a nonzero cookie is a *refault* and the distance is (current
+  // sequence - cookie), matching mm/workingset.c. The cookie is kept 64-bit
+  // (the global eviction sequence overflows 32 bits on long sweeps) and lives
+  // in the `lru` word, low half in `prev`: an evicted page is on no list, the
+  // way the kernel packs the entry into the vacated radix-tree slot, so
+  // evictions allocate nothing. Set it only on an unlinked page.
+  uint64_t evict_cookie() const {
+    return static_cast<uint64_t>(lru.next) << 32 | lru.prev;
+  }
+  void set_evict_cookie(uint64_t cookie) {
+    lru.prev = static_cast<uint32_t>(cookie);
+    lru.next = static_cast<uint32_t>(cookie >> 32);
+  }
 
   PageState state() const { return static_cast<PageState>(bits_ & kStateMask); }
   void set_state(PageState s) {
@@ -184,19 +200,19 @@ struct alignas(32) PageInfo {
 };
 
 // The layout budget above is load-bearing: the reclaim scan is memory-bound
-// and sized around two PageInfo records per 64-byte cache line. A new field
-// must either fit the existing padding or earn a redesign — this assert makes
+// and sized around four PageInfo records per 64-byte cache line. A new field
+// must either fit the two spare bytes or earn a redesign — this assert makes
 // the regression loud instead of a silent sweep slowdown.
-static_assert(sizeof(PageInfo) <= 32, "PageInfo outgrew its 32-byte budget");
-// alignas(32) keeps every record inside a single cache line (two records per
-// 64-byte line with a line-aligned arena; see AddressSpace).
-static_assert(alignof(PageInfo) == 32);
+static_assert(sizeof(PageInfo) <= 16, "PageInfo outgrew its 16-byte budget");
+// alignas(16) keeps every record inside a single cache line (four records
+// per 64-byte line with a line-aligned arena; see AddressSpace).
+static_assert(alignof(PageInfo) == 16);
 static_assert(sizeof(PageLinks) == 8,
-              "LRU link record must stay two 32-bit indices (one half cache "
-              "line per hop including the flag word)");
+              "LRU link record must stay two 32-bit indices (the word also "
+              "holds the 64-bit shadow cookie)");
 // The arena allocates raw storage and frees it without running destructors.
 static_assert(std::is_trivially_destructible_v<PageInfo>);
-// A zero-filled record reads as untouched, unlinked and never evicted.
+// A zero-filled record reads as untouched, unlinked and not evicted.
 static_assert(PageState::kUntouched == PageState{});
 
 }  // namespace ice

@@ -10,21 +10,26 @@ namespace ice {
 
 void ShadowRegistry::RecordEviction(PageInfo* page) {
   ICE_CHECK(page != nullptr);
-  page->evict_cookie = ++eviction_seq_;
+  // The cookie shares the LRU link word: a nonzero word here is a page still
+  // on a list (or evicted twice), and stamping it would corrupt the list.
+  ICE_CHECK_EQ(page->evict_cookie(), 0u) << "evicting a page whose link word is in use";
+  page->set_evict_cookie(++eviction_seq_);
 }
 
 RefaultEvent ShadowRegistry::RecordRefault(PageInfo* page, const AddressSpace& space,
                                            SimTime now, bool foreground) {
   ICE_CHECK(page != nullptr);
-  ICE_CHECK_GT(page->evict_cookie, 0u);
+  const uint64_t cookie = page->evict_cookie();
+  ICE_CHECK_GT(cookie, 0u);
   RefaultEvent event;
   event.time = now;
   event.pid = space.pid();
   event.uid = space.uid();
   event.kind = space.KindOf(space.VpnOf(*page));
   event.foreground = foreground;
-  event.distance = eviction_seq_ - page->evict_cookie;
-  page->evict_cookie = 0;
+  event.distance = eviction_seq_ - cookie;
+  // Zeroed before the page is relinked: the word holds its links next.
+  page->set_evict_cookie(0);
   ++refault_count_;
   for (RefaultListener* l : listeners_) {
     l->OnRefault(event);

@@ -42,19 +42,22 @@ class AddressSpace;
 // listeners (ICE's daemon, experiment probes, ...).
 //
 // Shadow entries are packed into the evicted page's own PageInfo record
-// (`evict_cookie`), the way the kernel packs them into the vacated radix-tree
-// slot — recording an eviction or a refault allocates nothing. The owning
+// (`evict_cookie()`, which shares the LRU link word: an evicted page is on
+// no list), the way the kernel packs them into the vacated radix-tree slot —
+// recording an eviction or a refault allocates nothing. The owning
 // AddressSpace is passed explicitly because the packed PageInfo carries no
 // owner back-pointer.
 class ShadowRegistry {
  public:
   ShadowRegistry() = default;
 
-  // Called on eviction: stamps the page's shadow cookie.
+  // Called on eviction, after the page left its LRU list: stamps the page's
+  // shadow cookie.
   void RecordEviction(PageInfo* page);
 
-  // Called on fault-in of a previously evicted page. Returns the populated
-  // event (already dispatched to listeners).
+  // Called on fault-in of a previously evicted page, before it is relinked:
+  // consumes (zeroes) the cookie. Returns the populated event (already
+  // dispatched to listeners).
   RefaultEvent RecordRefault(PageInfo* page, const AddressSpace& space, SimTime now,
                              bool foreground);
 

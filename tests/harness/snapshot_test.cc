@@ -3,6 +3,8 @@
 // byte for byte — same stats, same trace, same metrics — across every
 // scheme and both aging and swap policies. Malformed streams must fail
 // loudly.
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -360,18 +362,27 @@ MemConfig CheckMemConfig(AgingPolicy aging) {
   return config;
 }
 
-// Saves a space whose vpns 0-7 (Java heap) and 40-47 (file) were touched in
-// that order: two extents, the first starting at vpn 0.
-std::vector<uint8_t> SaveCheckSpace(AgingPolicy aging, const AddressSpaceLayout& layout) {
+// Touches vpns 0-7 (Java heap) and 40-47 (file) in that order, so a saved
+// space holds two extents, the first starting at vpn 0; `reclaimed` then
+// evicts them all: records 0-7 to zram, records 8-15 (vpns 40-47) to flash.
+void TouchCheckPages(MemoryManager& mm, AddressSpace& space, bool reclaimed) {
+  for (uint32_t vpn : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 40u, 41u, 42u, 43u, 44u, 45u, 46u, 47u}) {
+    if (vpn < space.total_pages()) {
+      mm.Access(space, vpn, /*write=*/false, nullptr);
+    }
+  }
+  if (reclaimed) {
+    mm.ReclaimAllOf(space);
+  }
+}
+
+std::vector<uint8_t> SaveCheckSpace(AgingPolicy aging, const AddressSpaceLayout& layout,
+                                    bool reclaimed = false) {
   Engine engine(3);
   MemoryManager mm(engine, CheckMemConfig(aging), nullptr);
   AddressSpace space(1, 1, "app", layout);
   mm.Register(space);
-  for (uint32_t vpn : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 40u, 41u, 42u, 43u, 44u, 45u, 46u, 47u}) {
-    if (vpn < layout.total()) {
-      mm.Access(space, vpn, /*write=*/false, nullptr);
-    }
-  }
+  TouchCheckPages(mm, space, reclaimed);
   BinaryWriter w;
   SnapshotArchive save(w);
   space.Transfer(save);
@@ -411,7 +422,25 @@ void PutU32(std::vector<uint8_t>& bytes, size_t at, uint32_t v) {
   }
 }
 
-size_t RecordAt(uint32_t index) { return kFirstRecord + index * kRecordBytes; }
+uint64_t GetU64(const std::vector<uint8_t>& bytes, size_t at) {
+  return static_cast<uint64_t>(GetU32(bytes, at + 4)) << 32 | GetU32(bytes, at);
+}
+
+void PutU64(std::vector<uint8_t>& bytes, size_t at, uint64_t v) {
+  PutU32(bytes, at, static_cast<uint32_t>(v));
+  PutU32(bytes, at + 4, static_cast<uint32_t>(v >> 32));
+}
+
+// Records 0-7 are vpns 0-7; records 8-15 are vpns 40-47, after the second
+// extent's {u32 first vpn, u32 count} header.
+size_t RecordAt(uint32_t index) {
+  return kFirstRecord + index * kRecordBytes + (index >= 8 ? 8 : 0);
+}
+// Fields of a v2 record: {u32 prev, u32 next, u32 vpn, u32 zram bytes, u64
+// shadow cookie, u16 flags, 6 zero bytes}.
+size_t ZramBytesAt(uint32_t index) { return RecordAt(index) + 12; }
+size_t CookieAt(uint32_t index) { return RecordAt(index) + 16; }
+size_t StateAt(uint32_t index) { return RecordAt(index) + 24; }
 size_t LruAt(const std::vector<uint8_t>& bytes) {
   return bytes.size() - kStreamTrailer - kLruBytes;
 }
@@ -422,8 +451,8 @@ size_t GenAt(const std::vector<uint8_t>& bytes, int pool) {
 
 // Applies `mutate` to a saved section and expects the restore to throw.
 void ExpectRejected(AgingPolicy aging, const std::function<void(std::vector<uint8_t>&)>& mutate,
-                    const AddressSpaceLayout& layout = CheckLayout()) {
-  std::vector<uint8_t> bytes = SaveCheckSpace(aging, layout);
+                    const AddressSpaceLayout& layout = CheckLayout(), bool reclaimed = false) {
+  std::vector<uint8_t> bytes = SaveCheckSpace(aging, layout, reclaimed);
   mutate(bytes);
   try {
     RestoreCheckSpace(aging, layout, bytes);
@@ -526,6 +555,161 @@ TEST(SnapshotRestoreChecks, GenClockClockHasThreeBits) {
     ExpectRejected(AgingPolicy::kGenClock,
                    [&](std::vector<uint8_t>& b) { b[GenAt(b, 0) + 40] = clock; });
   }
+}
+
+// A page carries a shadow cookie exactly when it is evicted (in zram or on
+// flash): the cookie shares the record's LRU link word, and a refault
+// requires one.
+TEST(SnapshotRestoreChecks, ShadowCookieMarksExactlyTheEvictedRecords) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    ExpectRejected(aging, [](std::vector<uint8_t>& b) {
+      ASSERT_EQ(b[StateAt(2)] & 7, static_cast<int>(PageState::kPresent));
+      PutU64(b, CookieAt(2), 7);
+    });
+  }
+  // Record 3 rewritten as an untouched Java heap page (flag word 0); under
+  // gen-clock its links are kNoPage already.
+  ExpectRejected(AgingPolicy::kGenClock, [](std::vector<uint8_t>& b) {
+    b[StateAt(3)] = 0;
+    b[StateAt(3) + 1] = 0;
+    PutU64(b, CookieAt(3), 7);
+  });
+  ExpectRejected(
+      AgingPolicy::kTwoList,
+      [](std::vector<uint8_t>& b) {
+        ASSERT_EQ(b[StateAt(8)] & 7, static_cast<int>(PageState::kOnFlash));
+        ASSERT_GT(GetU64(b, CookieAt(8)), 0u);
+        PutU64(b, CookieAt(8), 0);
+      },
+      CheckLayout(), /*reclaimed=*/true);
+}
+
+// Only a present page is on an LRU list: an evicted page's link word holds
+// its shadow cookie instead.
+TEST(SnapshotRestoreChecks, LinkedRecordMustBePresent) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    ExpectRejected(aging, [](std::vector<uint8_t>& b) {
+      ASSERT_TRUE(b[StateAt(4) + 1] & 1);  // Linked: flag bit 8.
+      b[StateAt(4)] = static_cast<uint8_t>((b[StateAt(4)] & ~7) |
+                                           static_cast<int>(PageState::kOnFlash));
+      PutU64(b, CookieAt(4), 7);
+    });
+  }
+}
+
+// A page carries a compressed size exactly when it is in zram: Zram::Drop
+// subtracts it on the page's refault or release.
+TEST(SnapshotRestoreChecks, ZramSizeMarksExactlyTheInZramRecords) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    ExpectRejected(aging, [](std::vector<uint8_t>& b) { PutU32(b, ZramBytesAt(1), 1000); });
+  }
+  ExpectRejected(
+      AgingPolicy::kTwoList,
+      [](std::vector<uint8_t>& b) {
+        ASSERT_EQ(b[StateAt(0)] & 7, static_cast<int>(PageState::kInZram));
+        ASSERT_GT(GetU32(b, ZramBytesAt(0)), 0u);
+        PutU32(b, ZramBytesAt(0), 0);
+      },
+      CheckLayout(), /*reclaimed=*/true);
+  ExpectRejected(
+      AgingPolicy::kTwoList, [](std::vector<uint8_t>& b) { PutU32(b, ZramBytesAt(8), 1000); },
+      CheckLayout(), /*reclaimed=*/true);
+}
+
+// ---- Restore checks on a memory manager's section ---------------------------
+//
+// One registered space, every touched page evicted. The section's payload
+// starts with u32 next space id, five 8-byte scalars and the two arena
+// counters, and ends with the space's payload, byte for byte the section
+// SaveCheckSpace writes.
+
+constexpr size_t kArenaLiveAt = kStreamHeader + 4 + 5 * 8;
+constexpr size_t kArenaPeakAt = kArenaLiveAt + 8;
+
+std::vector<uint8_t> SaveCheckManager(AgingPolicy aging) {
+  Engine engine(3);
+  MemoryManager mm(engine, CheckMemConfig(aging), nullptr);
+  AddressSpace space(1, 1, "app", CheckLayout());
+  mm.Register(space);
+  TouchCheckPages(mm, space, /*reclaimed=*/true);
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  mm.Transfer(save);
+  std::vector<uint8_t> bytes = w.Finish();
+  mm.Release(space);
+  return bytes;
+}
+
+void RestoreCheckManager(AgingPolicy aging, const std::vector<uint8_t>& bytes) {
+  Engine engine(3);
+  MemoryManager mm(engine, CheckMemConfig(aging), nullptr);
+  AddressSpace space(1, 1, "app", CheckLayout());
+  mm.Register(space);
+  BinaryReader r(bytes, /*verify_checksum=*/false);
+  SnapshotArchive load(r);
+  mm.Transfer(load);
+  // Releasing would drop the restored zram pages, and a store that
+  // disagrees with them aborts there (the failure these checks prevent).
+  mm.ForgetSpaces();
+}
+
+void ExpectManagerRejected(AgingPolicy aging,
+                           const std::function<void(std::vector<uint8_t>&, size_t)>& mutate) {
+  std::vector<uint8_t> bytes = SaveCheckManager(aging);
+  const std::vector<uint8_t> space = SaveCheckSpace(aging, CheckLayout(), /*reclaimed=*/true);
+  // Offset that maps a position in the space's own stream to this one.
+  const size_t shift = bytes.size() - space.size();
+  ASSERT_TRUE(std::equal(space.begin() + kStreamHeader, space.end() - kStreamTrailer,
+                         bytes.begin() + static_cast<std::ptrdiff_t>(shift + kStreamHeader)));
+  ASSERT_NO_THROW(RestoreCheckManager(aging, bytes));
+  mutate(bytes, shift);
+  try {
+    RestoreCheckManager(aging, bytes);
+    ADD_FAILURE() << "mutated section was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: ", 0), 0u) << e.what();
+  }
+}
+
+// The in-zram records' sizes and count must be the zram store's totals, or
+// the store's accounting drifts from the pages that free it.
+TEST(SnapshotRestoreChecks, InZramRecordsMustSumToTheZramTotals) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    ExpectManagerRejected(aging, [](std::vector<uint8_t>& b, size_t shift) {
+      PutU32(b, shift + ZramBytesAt(0), GetU32(b, shift + ZramBytesAt(0)) + 1);
+    });
+    // Record 1 moved to flash, as hotness writeback would, without the store
+    // giving up its copy: each record is coherent, the totals are not.
+    ExpectManagerRejected(aging, [](std::vector<uint8_t>& b, size_t shift) {
+      const size_t state = shift + StateAt(1);
+      b[state] = static_cast<uint8_t>((b[state] & ~7) | static_cast<int>(PageState::kOnFlash));
+      PutU32(b, shift + ZramBytesAt(1), 0);
+    });
+  }
+}
+
+// The arena counters are stored as format v2 bytes, 32 per page record,
+// and the live figure is the replayed spaces' own.
+TEST(SnapshotRestoreChecks, ArenaCountersMustFitTheRegisteredSpaces) {
+  const uint64_t live = uint64_t{kSpacePages} * kRecordBytes;
+  auto expect_counters = [&](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU64(b, kArenaLiveAt), live);
+    ASSERT_EQ(GetU64(b, kArenaPeakAt), live);
+  };
+  ExpectManagerRejected(AgingPolicy::kTwoList, [&](std::vector<uint8_t>& b, size_t) {
+    expect_counters(b);
+    PutU64(b, kArenaLiveAt, live + kRecordBytes);
+    PutU64(b, kArenaPeakAt, live + kRecordBytes);
+  });
+  ExpectManagerRejected(AgingPolicy::kTwoList, [&](std::vector<uint8_t>& b, size_t) {
+    PutU64(b, kArenaLiveAt, live / 2);
+  });
+  ExpectManagerRejected(AgingPolicy::kGenClock, [&](std::vector<uint8_t>& b, size_t) {
+    PutU64(b, kArenaPeakAt, live + 1);
+  });
+  ExpectManagerRejected(AgingPolicy::kGenClock, [&](std::vector<uint8_t>& b, size_t) {
+    PutU64(b, kArenaPeakAt, live - kRecordBytes);
+  });
 }
 
 }  // namespace

@@ -285,6 +285,64 @@ TEST_F(MemoryManagerTest, ReleaseDropsZramEntries) {
   EXPECT_EQ(mm_.zram().stored_pages(), 0u);
 }
 
+// The shadow cookie shares the LRU link word: eviction stamps it on an
+// unlinked page, a refault consumes it before the page is relinked (before
+// the read is even issued on the flash path), and afterwards the word holds
+// the page's links under two-list aging and stays zero under gen-clock.
+TEST(SharedLinkWord, EvictStampsCookieAndRefaultRelinks) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    SCOPED_TRACE(aging == AgingPolicy::kTwoList ? "two_list" : "gen_clock");
+    const bool two_list = aging == AgingPolicy::kTwoList;
+    Engine engine(1);
+    BlockDevice storage(engine, Ufs21Profile());
+    MemConfig config = TinyConfig();
+    config.aging = aging;
+    MemoryManager mm(engine, config, &storage);
+    // vpns 0-1 are Java heap (evicted to zram), 2-3 file (discarded to flash).
+    AddressSpace space(1, 1, "a", Layout(2, 0, 2));
+    mm.Register(space);
+    for (uint32_t vpn = 0; vpn < 4; ++vpn) {
+      mm.Access(space, vpn, /*write=*/false, nullptr);
+    }
+    mm.ReclaimAllOf(space);  // Evicts in vpn order: cookies 1-4.
+    for (uint32_t vpn = 0; vpn < 4; ++vpn) {
+      EXPECT_FALSE(space.page(vpn).lru_linked());
+      EXPECT_EQ(space.page(vpn).evict_cookie(), vpn + 1u);
+    }
+    PageInfo& a = space.page(0);
+    PageInfo& b = space.page(1);
+    PageInfo& f = space.page(2);
+    ASSERT_EQ(a.state(), PageState::kInZram);
+    ASSERT_EQ(f.state(), PageState::kOnFlash);
+
+    // Zram refaults: `a` alone on the anon list, then `b` pushed before it.
+    mm.Access(space, 0, /*write=*/false, nullptr);
+    EXPECT_EQ(a.state(), PageState::kPresent);
+    EXPECT_EQ(a.lru.prev, two_list ? kNoPage : 0u);
+    EXPECT_EQ(a.lru.next, two_list ? kNoPage : 0u);
+    mm.Access(space, 1, /*write=*/false, nullptr);
+    EXPECT_EQ(b.lru.prev, two_list ? kNoPage : 0u);
+    EXPECT_EQ(b.lru.next, 0u);  // `a`, vpn 0, under two-list.
+    EXPECT_EQ(a.lru.prev, two_list ? 1u : 0u);
+
+    // Flash refault: the cookie is gone while the read is in flight.
+    mm.Access(space, 2, /*write=*/false, nullptr);
+    EXPECT_EQ(f.state(), PageState::kFaultingIn);
+    EXPECT_EQ(f.evict_cookie(), 0u);
+    engine.RunFor(Ms(50));
+    EXPECT_EQ(f.state(), PageState::kPresent);
+    EXPECT_EQ(f.lru.prev, two_list ? kNoPage : 0u);
+    EXPECT_EQ(f.lru.next, two_list ? kNoPage : 0u);
+    EXPECT_EQ(space.page(3).evict_cookie(), 4u);  // Still on flash.
+
+    // Release leaves every word zero: links unlinked, cookies dropped.
+    mm.Release(space);
+    for (const PageInfo& p : space.pages()) {
+      EXPECT_EQ(p.evict_cookie(), 0u);
+    }
+  }
+}
+
 TEST_F(MemoryManagerTest, AvailableCountsFileLru) {
   AddressSpace space(1, 1, "a", Layout(0, 0, 100));
   mm_.Register(space);

@@ -158,7 +158,7 @@ TEST_F(ReclaimTest, EvictionRecordsShadowEntries) {
   TouchAll(space, 30);
   mm_.ReclaimAllOf(space);
   for (uint32_t vpn = 0; vpn < 30; ++vpn) {
-    EXPECT_GT(space.page(vpn).evict_cookie, 0u);
+    EXPECT_GT(space.page(vpn).evict_cookie(), 0u);
   }
   EXPECT_EQ(mm_.shadow().eviction_sequence(), 30u);
   mm_.Release(space);

@@ -27,9 +27,9 @@ TEST(Shadow, EvictionStampsCookie) {
   ShadowRegistry shadow;
   AddressSpace space(10, 100, "t", SmallLayout());
   PageInfo* p = &space.page(0);
-  EXPECT_EQ(p->evict_cookie, 0u);
+  EXPECT_EQ(p->evict_cookie(), 0u);
   shadow.RecordEviction(p);
-  EXPECT_EQ(p->evict_cookie, 1u);
+  EXPECT_EQ(p->evict_cookie(), 1u);
   EXPECT_EQ(shadow.eviction_sequence(), 1u);
 }
 
@@ -47,7 +47,7 @@ TEST(Shadow, RefaultDistance) {
   EXPECT_EQ(ev.pid, 10);
   EXPECT_EQ(ev.uid, 100);
   EXPECT_EQ(ev.time, Us(500));
-  EXPECT_EQ(a->evict_cookie, 0u);  // Cleared after refault.
+  EXPECT_EQ(a->evict_cookie(), 0u);  // Cleared after refault.
 }
 
 TEST(Shadow, ListenersNotified) {

@@ -109,8 +109,8 @@ TEST(Zram, CostsConfigured) {
   EXPECT_EQ(zram.decompress_cost(), Us(12));
 }
 
-// The compressed size and shadow cookie live in the open fields of the
-// packed 32-byte PageInfo; every flag mutation goes through the shared bit
+// The compressed size and shadow cookie live outside the flag word of the
+// packed 16-byte PageInfo; every flag mutation goes through the shared bit
 // word. Regression for the bit-packing refactor: flipping every packed flag
 // must leave zram accounting (and the cookie) untouched.
 TEST(Zram, ZramBytesSurvivesBitPacking) {
@@ -122,7 +122,7 @@ TEST(Zram, ZramBytesSurvivesBitPacking) {
   ASSERT_TRUE(zram.Store(space, p));
   const uint32_t bytes = p->zram_bytes;
   ASSERT_GT(bytes, 0u);
-  p->evict_cookie = 0x1234567890abcdefull;
+  p->set_evict_cookie(0x1234567890abcdefull);
 
   p->set_state(PageState::kInZram);
   p->set_dirty(true);
@@ -130,7 +130,7 @@ TEST(Zram, ZramBytesSurvivesBitPacking) {
   p->set_active(true);
   p->set_lru_linked(true);
   EXPECT_EQ(p->zram_bytes, bytes);
-  EXPECT_EQ(p->evict_cookie, 0x1234567890abcdefull);
+  EXPECT_EQ(p->evict_cookie(), 0x1234567890abcdefull);
   EXPECT_EQ(p->state(), PageState::kInZram);
 
   p->set_dirty(false);

@@ -115,19 +115,29 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MemAccountingProperty,
 
 // ---------------------------------------------------------------------------
 // Page state machine: after any op sequence, every page is in a coherent
-// state w.r.t. its LRU membership and zram bookkeeping.
+// state w.r.t. its LRU membership, its shadow cookie and zram bookkeeping,
+// under every aging x swap policy pair. The cookie and the two-list links
+// share one word, so the word must hold links only on a listed page, the
+// cookie only on an evicted one, and zero everywhere else. A small zram
+// store makes baseline swap hit its capacity rejects and hotness swap write
+// anon pages back to flash.
 // ---------------------------------------------------------------------------
 
-class PageStateProperty : public ::testing::TestWithParam<uint64_t> {};
+class PageStateProperty
+    : public ::testing::TestWithParam<std::tuple<uint64_t, AgingPolicy, SwapPolicy>> {};
 
 TEST_P(PageStateProperty, StatesStayCoherent) {
-  Engine engine(GetParam());
+  const auto [seed, aging, swap] = GetParam();
+  Engine engine(seed);
   BlockDevice storage(engine, Emmc51Profile());
   MemConfig config;
   config.total_pages = 3000;
   config.os_reserved_pages = 200;
   config.wm = Watermarks::FromHigh(200);
   config.reclaim_contention_mean = 0;
+  config.zram.capacity_bytes = 512 * kKiB;
+  config.aging = aging;
+  config.swap.policy = swap;
   MemoryManager mm(engine, config, &storage);
 
   AddressSpaceLayout layout;
@@ -137,7 +147,7 @@ TEST_P(PageStateProperty, StatesStayCoherent) {
   AddressSpace space(1, 1, "app", layout);
   mm.Register(space);
 
-  Rng rng(GetParam() * 97 + 11);
+  Rng rng(seed * 97 + 11);
   for (int op = 0; op < 4000; ++op) {
     uint32_t vpn = rng.Below(static_cast<uint32_t>(space.total_pages()));
     switch (rng.Below(4)) {
@@ -155,33 +165,47 @@ TEST_P(PageStateProperty, StatesStayCoherent) {
   }
   engine.RunFor(Ms(100));
 
-  uint64_t zram_pages = 0;
+  const uint32_t pages = static_cast<uint32_t>(space.total_pages());
+  uint64_t zram_pages = 0, anon_on_flash = 0;
   PageCount resident = 0, evicted = 0;
   for (const PageInfo& p : space.pages()) {
+    const bool anon = IsAnon(space.KindOf(space.VpnOf(p)));
     switch (p.state()) {
       case PageState::kPresent:
         EXPECT_TRUE(p.lru_linked());
         EXPECT_EQ(p.zram_bytes, 0u);
+        if (aging == AgingPolicy::kGenClock) {
+          EXPECT_EQ(p.lru.prev, 0u);
+          EXPECT_EQ(p.lru.next, 0u);
+        } else {
+          for (uint32_t link : {p.lru.prev, p.lru.next}) {
+            EXPECT_TRUE(link == kNoPage || link < pages) << link;
+          }
+        }
         ++resident;
         break;
       case PageState::kInZram:
         EXPECT_FALSE(p.lru_linked());
         EXPECT_GT(p.zram_bytes, 0u);
-        EXPECT_TRUE(IsAnon(space.KindOf(space.VpnOf(p))));
-        EXPECT_GT(p.evict_cookie, 0u);
+        EXPECT_TRUE(anon);
+        EXPECT_GT(p.evict_cookie(), 0u);
         zram_pages += 1;
         ++evicted;
         break;
       case PageState::kOnFlash:
         EXPECT_FALSE(p.lru_linked());
-        EXPECT_EQ(space.KindOf(space.VpnOf(p)), HeapKind::kFile);
+        // Only hotness writeback moves an anon page from zram to flash.
+        EXPECT_TRUE(!anon || swap == SwapPolicy::kHotness);
         EXPECT_EQ(p.zram_bytes, 0u);
-        EXPECT_GT(p.evict_cookie, 0u);
+        EXPECT_GT(p.evict_cookie(), 0u);
+        anon_on_flash += anon;
         ++evicted;
         break;
       case PageState::kUntouched:
-        EXPECT_FALSE(p.lru_linked());
-        EXPECT_EQ(p.evict_cookie, 0u);
+        // Never touched: still the all-zero fresh record.
+        EXPECT_EQ(p.bits(), 0u);
+        EXPECT_EQ(p.zram_bytes, 0u);
+        EXPECT_EQ(p.evict_cookie(), 0u);
         break;
       case PageState::kFaultingIn:
         ADD_FAILURE() << "fault still in flight after drain";
@@ -191,10 +215,17 @@ TEST_P(PageStateProperty, StatesStayCoherent) {
   EXPECT_EQ(space.resident(), resident);
   EXPECT_EQ(space.evicted(), evicted);
   EXPECT_EQ(mm.zram().stored_pages(), zram_pages);
+  if (swap == SwapPolicy::kHotness) {
+    EXPECT_GT(anon_on_flash, 0u) << "writeback never ran; the store is too large";
+  }
   mm.Release(space);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PageStateProperty, ::testing::Values(4, 9, 16, 25, 36, 49));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PageStateProperty,
+    ::testing::Combine(::testing::Values(4, 9, 16, 25, 36, 49),
+                       ::testing::Values(AgingPolicy::kTwoList, AgingPolicy::kGenClock),
+                       ::testing::Values(SwapPolicy::kBaseline, SwapPolicy::kHotness)));
 
 // ---------------------------------------------------------------------------
 // LRU size conservation under random churn.

@@ -18,9 +18,9 @@ namespace {
 
 // The flag word (state:3 | free:2 | dirty | referenced | active | linked |
 // generation:3 | hotness:3 | zram_dense): adding the swap bits must not have
-// grown the record past its two-per-cache-line budget.
-static_assert(sizeof(PageInfo) == 32, "PageInfo must stay exactly 32 bytes");
-static_assert(alignof(PageInfo) == 32);
+// grown the record past its four-per-cache-line budget.
+static_assert(sizeof(PageInfo) == 16, "PageInfo must stay exactly 16 bytes");
+static_assert(alignof(PageInfo) == 16);
 
 AddressSpaceLayout AnonLayout(PageCount pages) {
   AddressSpaceLayout layout;
@@ -39,7 +39,7 @@ SwapConfig HotnessConfig() {
 TEST(PageBits, HotnessCannotClobberNeighbours) {
   PageInfo p;
   p.zram_bytes = 0xdeadbeef;
-  p.evict_cookie = 0x1234567890abcdefull;
+  p.set_evict_cookie(0x1234567890abcdefull);
   p.set_state(PageState::kInZram);
   p.set_dirty(true);
   p.set_referenced(true);
@@ -52,7 +52,7 @@ TEST(PageBits, HotnessCannotClobberNeighbours) {
     EXPECT_EQ(p.hotness(), h);
     EXPECT_EQ(p.generation(), 5);
     EXPECT_EQ(p.zram_bytes, 0xdeadbeefu);
-    EXPECT_EQ(p.evict_cookie, 0x1234567890abcdefull);
+    EXPECT_EQ(p.evict_cookie(), 0x1234567890abcdefull);
     EXPECT_EQ(p.state(), PageState::kInZram);
     EXPECT_TRUE(p.dirty());
     EXPECT_TRUE(p.referenced());
