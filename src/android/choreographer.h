@@ -54,7 +54,7 @@ class Choreographer {
   // trace runner starts the clock but never stops it, so the recycler must.
   void ResetForRecycle() {
     if (next_vsync_ != kInvalidEventId) {
-      am_.engine().Cancel(next_vsync_);  // Stale after a wheel clear: no-op.
+      am_.engine().Cancel(next_vsync_);  // Stale after a queue clear: no-op.
       next_vsync_ = kInvalidEventId;
     }
     started_ = false;

@@ -360,7 +360,7 @@ void Experiment::TransferSections(SnapshotArchive& ar, bool seed_agnostic) {
       SnapshotArchive::Fail("config fingerprint mismatch\n  snapshot: " + fp +
                             "\n  config:   " + expected);
     }
-    // Cancel everything Install() armed; the wheel must be empty before the
+    // Cancel everything Install() armed; the queue must be empty before the
     // engine restore so the saved event sequence replays exactly.
     scheme_->BeginRestore();
   }
@@ -389,10 +389,10 @@ void Experiment::ResetForRecycle() {
   // Ordering contract:
   //  1. Choreographer first — it stops the vsync clock (the trace runner
   //     starts it but never stops it) while its event handle is still valid.
-  //  2. Kill every app while the wheel is live (KillApp cancels task timers,
+  //  2. Kill every app while the queue is live (KillApp cancels task timers,
   //     releases spaces back to the MM, drains their pending faults, drops
   //     their zram residency, and parks the processes in the graveyard).
-  //  3. Clear the wheel. Boot tasks keep stale timer handles; the generation
+  //  3. Clear the queue. Boot tasks keep stale timer handles; the generation
   //     bump makes them resolve to nothing, and Task::Transfer re-arms.
   //  4. Destroy the dead post-boot tasks and rewind the task-id sequence.
   //     Must precede graveyard teardown: tasks hold Process* backpointers.

@@ -204,9 +204,9 @@ class Experiment {
   //
   // RestoreTemplate rewinds this *live* Experiment back to the snapshot
   // instead of constructing a fresh one: every running app is killed with
-  // listeners suppressed, the event wheel / scheduler / activity manager /
+  // listeners suppressed, the event queue / scheduler / activity manager /
   // memory manager / block device are reset to their post-construction
-  // shape (keeping their allocations — timing-wheel node pool, task
+  // shape (keeping their allocations — event-queue node pool, task
   // scratch, arena pools, writer capacity), and the snapshot is overlaid
   // via the normal restore path. The trace RNG is then reseeded from
   // `new_seed` and config().seed updated, so the recycled instance is
@@ -247,7 +247,7 @@ class Experiment {
   void TransferSections(SnapshotArchive& ar, bool seed_agnostic);
 
   // Teardown half of RestoreTemplate; see the member comment there for the
-  // ordering contract between the wheel clear, task destruction, and the
+  // ordering contract between the queue clear, task destruction, and the
   // process graveyard.
   void ResetForRecycle();
 

@@ -244,8 +244,12 @@ void AddressSpace::Transfer(SnapshotArchive& ar, ZramUsage* restored_zram) {
   // Whether links may be set depends on the aging policy, which the stream
   // stores after the records: the first bad record is reported only once
   // the LRU state has been read, so a snapshot of the other policy fails as
-  // a policy mismatch.
+  // a policy mismatch. The resident and evicted counters must count the
+  // present and the evicted records; every record outside the extents is
+  // fresh (untouched).
   std::string bad_record;
+  PageCount present = 0;
+  PageCount evicted = 0;
   std::vector<V2Record> image;
   uint64_t prev_end = 0;
   ar.Sequence(extents, 8, [&](std::pair<uint32_t, uint32_t>& extent) {
@@ -268,6 +272,9 @@ void AddressSpace::Transfer(SnapshotArchive& ar, ZramUsage* restored_zram) {
       if (bad_record.empty() && !why.empty()) {
         bad_record = name_ + " page " + std::to_string(start + i) + ": " + why;
       }
+      PageState state = pages_[start + i].state();
+      present += state == PageState::kPresent ? 1 : 0;
+      evicted += state == PageState::kInZram || state == PageState::kOnFlash ? 1 : 0;
     }
     prev_end = end;
   });
@@ -279,6 +286,11 @@ void AddressSpace::Transfer(SnapshotArchive& ar, ZramUsage* restored_zram) {
   lru_.Transfer(ar);
   if (!bad_record.empty()) {
     SnapshotArchive::Fail(bad_record);
+  }
+  if (ar.loading() && (resident_ != present || evicted_ != evicted)) {
+    SnapshotArchive::Fail(name_ + " counts " + std::to_string(resident_) + " resident and " +
+                          std::to_string(evicted_) + " evicted pages, its records " +
+                          std::to_string(present) + " and " + std::to_string(evicted));
   }
 }
 

@@ -44,7 +44,7 @@ class Scheme {
   // Stateless schemes (LRU+CFS, UCSG, Acclaim keep all their state in tasks
   // and hooks) use these defaults. Schemes with timers or learned state (Ice,
   // PowerMgr) override both: BeginRestore cancels any events Install armed —
-  // the engine clock can only be restored onto an empty wheel — and Transfer,
+  // the engine clock can only be restored onto an empty queue — and Transfer,
   // one call for both save and restore, re-arms them on restore with the
   // snapshot's event sequence numbers (Engine::TransferEvent).
   virtual void BeginRestore() {}

@@ -89,7 +89,7 @@ class Scheduler : public Ticker {
   // (app tasks — all already dead; the usual mid-simulation graveyard rule
   // does not apply because nothing is running) and rewinds the task-id
   // sequence, so a post-boot snapshot can be overlaid via Transfer. The
-  // engine's event wheel must already be cleared: destroyed tasks may hold
+  // engine's event queue must already be cleared: destroyed tasks may hold
   // stale timer handles, and Task::Transfer's CancelTimer relies on those ids
   // resolving to nothing.
   void ResetForRecycle(size_t boot_task_count);

@@ -114,7 +114,7 @@ class Task : public ListNode<RunQueueTag> {
   // sleep timer as (deadline, seq), and the behavior's progress). Restore sets
   // state_ directly — the scheduler rebuilds run-queue membership afterwards
   // in its own serialized order — and re-arms the sleep timer with the saved
-  // event sequence number so wheel dispatch order is bit-identical.
+  // event sequence number so event dispatch order is bit-identical.
   void Transfer(SnapshotArchive& ar);
 
   void AddVruntime(SimDuration used_us) {

@@ -42,9 +42,19 @@ void Engine::TransferEvent(SnapshotArchive& ar, EventId& id, EventFn fn) {
   ar.U64(seq);
   if (ar.loading()) {
     ICE_CHECK_EQ(id, kInvalidEventId) << "re-arming over a live event";
+    // The queue orders events totally only while (deadline, seq) pairs are
+    // unique, and Schedule hands out next_seq onwards.
+    std::string why;
     if (when < now_) {
-      SnapshotArchive::Fail("event deadline " + std::to_string(when) +
-                            " precedes the restored clock " + std::to_string(now_));
+      why = "precedes the restored clock " + std::to_string(now_);
+    } else if (seq == 0 || seq >= events_.next_seq()) {
+      why = "has a seq outside [1, " + std::to_string(events_.next_seq()) + ")";
+    } else if (events_.Holds(when, seq)) {
+      why = "is already pending";
+    }
+    if (!why.empty()) {
+      SnapshotArchive::Fail("event (" + std::to_string(when) + ", " + std::to_string(seq) +
+                            ") " + why);
     }
     id = events_.ScheduleWithSeq(when, seq, std::move(fn));
   }
@@ -72,7 +82,6 @@ void Engine::Transfer(SnapshotArchive& ar) {
   ar.U64(next_seq);
   if (ar.loading()) {
     events_.set_next_seq(next_seq);
-    events_.RestoreClock(now_);
   }
   rng_.Transfer(ar);
   noise_rng_.Transfer(ar);

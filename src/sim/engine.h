@@ -98,15 +98,17 @@ class Engine {
   std::optional<std::pair<SimTime, uint64_t>> PendingEvent(EventId id) const {
     return events_.Pending(id);
   }
-  // Live events in the wheel. Snapshot sanity: every one of these must be
+  // Live events in the queue. Snapshot sanity: every one of these must be
   // owned (and re-armed on restore) by some component's serialization.
   size_t pending_events() const { return events_.size(); }
 
   // Components re-arm their own timers: this transfers the pending event
   // `id` as (deadline, seq), and restoring arms `fn` at that deadline under
   // the saved sequence number — the original firing order, without the
-  // wheel ever serializing callables. The new handle goes to `id`, which
-  // must be kInvalidEventId until then.
+  // queue ever serializing callables. The new handle goes to `id`, which
+  // must be kInvalidEventId until then. Restoring throws for a deadline
+  // before the clock, a seq of 0 or at or above the restored next_seq, and
+  // a (deadline, seq) pair another pending event already holds.
   void TransferEvent(SnapshotArchive& ar, EventId& id, EventFn fn);
   // Same for an event that may be absent (`id` == kInvalidEventId): a
   // presence flag precedes the (deadline, seq) pair.
@@ -114,10 +116,10 @@ class Engine {
 
   // Clock, tick counters, event-sequence cursor, RNGs, and stats registry.
   // Restoring requires the event queue to be empty (timers are re-armed by
-  // their owners afterwards) and repositions the wheel cursor to now().
+  // their owners afterwards, under sequence numbers below the restored one).
   void Transfer(SnapshotArchive& ar);
 
-  // Recycling support: drop every pending event (keeping the wheel's node
+  // Recycling support: drop every pending event (keeping the queue's node
   // pool) and rewind the clock so a subsequent restore can overlay a
   // snapshot onto this live engine. Registered tickers are kept — the
   // components that own them persist across a recycle.

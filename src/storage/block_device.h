@@ -74,7 +74,7 @@ class BlockDevice {
   void Transfer(SnapshotArchive& ar);
 
   // Recycling support: drop queued commands and forget in-flight ones (their
-  // completion events died with the engine's wheel) so Transfer's idle
+  // completion events died with the engine's queue) so Transfer's idle
   // checks hold on a reused device.
   void ResetForRecycle() {
     queue_.clear();

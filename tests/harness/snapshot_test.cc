@@ -616,6 +616,36 @@ TEST(SnapshotRestoreChecks, ZramSizeMarksExactlyTheInZramRecords) {
       CheckLayout(), /*reclaimed=*/true);
 }
 
+// The resident and evicted counters count the present and the evicted
+// records. A resident count below the records' would otherwise abort a later
+// eviction in AddResident.
+TEST(SnapshotRestoreChecks, ResidentAndEvictedCountersMustMatchTheRecords) {
+  // Four u64 counters and a u32 sit between the records and the LRU state:
+  // resident, evicted, then the eviction and refault totals.
+  auto resident_at = [](const std::vector<uint8_t>& b) { return LruAt(b) - 4 * 8 - 4; };
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    // Touched only, all 16 pages are present; reclaimed, all are evicted.
+    for (bool reclaimed : {false, true}) {
+      for (size_t field : {size_t{0}, size_t{8}}) {
+        const uint64_t count = (field == 0) != reclaimed ? 16 : 0;
+        for (int64_t delta : {int64_t{-1}, int64_t{1}}) {
+          if (count == 0 && delta < 0) {
+            continue;
+          }
+          ExpectRejected(
+              aging,
+              [&](std::vector<uint8_t>& b) {
+                const size_t at = resident_at(b) + field;
+                ASSERT_EQ(GetU64(b, at), count);
+                PutU64(b, at, count + static_cast<uint64_t>(delta));
+              },
+              CheckLayout(), reclaimed);
+        }
+      }
+    }
+  }
+}
+
 // ---- Restore checks on a memory manager's section ---------------------------
 //
 // One registered space, every touched page evicted. The section's payload

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "src/base/binary_stream.h"
 
 namespace ice {
 namespace {
@@ -213,6 +219,104 @@ TEST(Engine, DeterministicAcrossRuns) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));
+}
+
+// ---- Restoring pending events ----------------------------------------------
+
+// Labels 1 and 2 at 5 ms (scheduled in that order) and 3 at 4 ms, pending
+// at 2 ms. Saves the engine, then the events in the order 3, 2, 1: only the
+// saved seqs keep 1 before 2.
+std::vector<uint8_t> SaveWithThreeEvents(Engine& engine, std::vector<int>& fired) {
+  EventId ids[3];
+  for (int label : {1, 2, 3}) {
+    ids[label - 1] = engine.ScheduleAt(label == 3 ? Ms(4) : Ms(5),
+                                       [&fired, label] { fired.push_back(label); });
+  }
+  engine.RunFor(Ms(2));
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  engine.Transfer(save);
+  for (int i : {2, 1, 0}) {
+    engine.TransferEvent(save, ids[i], [] {});
+  }
+  return w.Finish();
+}
+
+TEST(EngineRestore, PendingEventsFireInTheUninterruptedOrder) {
+  Engine uninterrupted(1);
+  std::vector<int> want;
+  std::vector<uint8_t> bytes = SaveWithThreeEvents(uninterrupted, want);
+  // A new event at the shared deadline fires after both restored ones.
+  uninterrupted.ScheduleAt(Ms(5), [&want] { want.push_back(4); });
+  uninterrupted.RunFor(Ms(8));
+  ASSERT_EQ(want, (std::vector<int>{3, 1, 2, 4}));
+
+  Engine restored(1);
+  std::vector<int> got;
+  BinaryReader r(bytes);
+  SnapshotArchive load(r);
+  restored.Transfer(load);
+  for (int label : {3, 2, 1}) {
+    EventId id = kInvalidEventId;
+    restored.TransferEvent(load, id, [&got, label] { got.push_back(label); });
+    EXPECT_EQ(restored.PendingEvent(id).value().first, label == 3 ? Ms(4) : Ms(5));
+  }
+  EXPECT_EQ(restored.pending_events(), 3u);
+  restored.ScheduleAt(Ms(5), [&got] { got.push_back(4); });
+  restored.RunFor(Ms(8));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(restored.now(), uninterrupted.now());
+}
+
+// An engine at 2 ms whose next seq is 4, followed by `events` as
+// TransferEvent writes them; restoring re-arms each in turn.
+void ExpectEventsRejected(const std::vector<std::pair<SimTime, uint64_t>>& events) {
+  Engine engine(1);
+  for (int i = 0; i < 3; ++i) {
+    engine.ScheduleAt(Ms(5), [] {});
+  }
+  engine.RunFor(Ms(2));
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  engine.Transfer(save);
+  for (auto [when, seq] : events) {
+    save.U64(when);
+    save.U64(seq);
+  }
+  std::vector<uint8_t> bytes = w.Finish();
+
+  Engine restored(1);
+  BinaryReader r(bytes);
+  SnapshotArchive load(r);
+  restored.Transfer(load);
+  try {
+    for (size_t i = 0; i < events.size(); ++i) {
+      EventId id = kInvalidEventId;
+      restored.TransferEvent(load, id, [] {});
+    }
+    ADD_FAILURE() << "bad events were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: ", 0), 0u) << e.what();
+  }
+}
+
+TEST(EngineRestore, DeadlineBeforeTheClockIsRejected) {
+  ExpectEventsRejected({{Ms(1), 1}});
+}
+
+// Seq 0 is never handed out: the counter starts at 1.
+TEST(EngineRestore, SeqZeroIsRejected) { ExpectEventsRejected({{Ms(5), 0}}); }
+
+// A seq at or above the restored counter would be handed out again by the
+// next Schedule.
+TEST(EngineRestore, SeqAtOrAboveNextSeqIsRejected) {
+  ExpectEventsRejected({{Ms(5), 4}});
+  ExpectEventsRejected({{Ms(5), 1}, {Ms(6), 1u << 20}});
+}
+
+// The queue orders two events with the same (deadline, seq) arbitrarily.
+TEST(EngineRestore, DuplicateDeadlineAndSeqIsRejected) {
+  ExpectEventsRejected({{Ms(5), 2}, {Ms(4), 3}, {Ms(5), 2}});
 }
 
 }  // namespace

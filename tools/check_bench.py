@@ -4,7 +4,9 @@
 Compares a fresh google-benchmark JSON run against a committed
 results/BENCH_*.json record: for every microbenchmark pair in the record,
 recompute the before/after speedup from the fresh run and fail if it fell
-more than --tolerance below the committed speedup.
+more than --tolerance below the committed speedup, or if either benchmark is
+missing from the fresh run (a renamed or deleted benchmark must not drop its
+guard silently).
 
 The guard is deliberately ratio-based. Absolute ns/op on shared CI runners
 is meaningless, but legacy and packed implementations run in the same
@@ -64,8 +66,10 @@ def check_record(fresh_path, committed_path, tolerance):
         before_name = entry["before"]["name"]
         after_name = entry["after"]["name"]
         committed_speedup = entry["speedup"]
-        if before_name not in fresh or after_name not in fresh:
-            print(f"SKIP {key}: {before_name} / {after_name} not in fresh run")
+        missing = [n for n in (before_name, after_name) if n not in fresh]
+        if missing:
+            print(f"{'MISSING':>10}  {key}: {', '.join(missing)} not in fresh run")
+            failures.append(key)
             continue
         checked += 1
         fresh_speedup = fresh[before_name] / fresh[after_name]
@@ -111,7 +115,8 @@ def main():
         print("error: no benchmark pairs matched between fresh and committed")
         return 1
     if failures:
-        print(f"\n{len(failures)} perf regression(s): {', '.join(failures)}")
+        print(f"\n{len(failures)} perf regression(s) or missing benchmark(s): "
+              f"{', '.join(failures)}")
         return 1
     print(f"\nall {checked} benchmark pair(s) within tolerance")
     return 0
