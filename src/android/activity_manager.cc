@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/base/binary_stream.h"
 #include "src/base/log.h"
@@ -13,6 +14,26 @@ namespace ice {
 namespace {
 // §6.4.2: "it takes only tens of milliseconds to thaw an application".
 constexpr SimDuration kThawLatency = Ms(45);
+
+// Keeps the first `pages` pages of `runs` there and returns the rest. A run
+// the cut falls inside is split in two; neither side keeps a zero-length run.
+std::vector<VpnRun> SplitRunsAt(std::vector<VpnRun>& runs, size_t pages) {
+  size_t whole = 0;
+  while (whole < runs.size() && pages >= runs[whole].count) {
+    pages -= runs[whole].count;
+    ++whole;
+  }
+  std::vector<VpnRun> rest(runs.begin() + static_cast<ptrdiff_t>(whole), runs.end());
+  runs.resize(whole);
+  if (pages > 0) {
+    ICE_CHECK(!rest.empty()) << "split past the end of the runs";
+    const uint32_t head = static_cast<uint32_t>(pages);
+    runs.push_back({rest.front().begin, head});
+    rest.front().begin += head;
+    rest.front().count -= head;
+  }
+  return rest;
+}
 }  // namespace
 
 ActivityManager::ActivityManager(Engine& engine, Scheduler& scheduler, MemoryManager& mm,
@@ -232,10 +253,11 @@ void ActivityManager::Launch(Uid uid, LaunchCallback on_interactive) {
       static_cast<uint32_t>((space.file_end() - space.file_begin()) * file_fraction),
       static_cast<uint32_t>((space.java_end() - space.java_begin()) * anon_fraction),
       static_cast<uint32_t>((space.native_end() - space.native_begin()) * anon_fraction)};
-  item.touch_vpns.reserve(size_t{counts[0]} + counts[1] + counts[2]);
+  size_t total = 0;
   for (int r = 0; r < 3; ++r) {
-    for (uint32_t vpn = begins[r]; vpn < begins[r] + counts[r]; ++vpn) {
-      item.touch_vpns.push_back(vpn);
+    if (counts[r] > 0) {
+      item.runs.push_back({begins[r], counts[r]});
+      total += counts[r];
     }
   }
 
@@ -245,11 +267,8 @@ void ActivityManager::Launch(Uid uid, LaunchCallback on_interactive) {
   WorkItem tail;
   tail.space = item.space;
   tail.write = false;
-  if (record.cold && item.touch_vpns.size() > 512) {
-    size_t split = item.touch_vpns.size() * 2 / 5;
-    tail.touch_vpns.assign(item.touch_vpns.begin() + static_cast<ptrdiff_t>(split),
-                           item.touch_vpns.end());
-    item.touch_vpns.resize(split);
+  if (record.cold && total > 512) {
+    tail.runs = SplitRunsAt(item.runs, total * 2 / 5);
   }
 
   size_t slot = launches_.size();
@@ -265,7 +284,7 @@ void ActivityManager::Launch(Uid uid, LaunchCallback on_interactive) {
     }
   };
   e->main_thread->Push(std::move(item));
-  if (!tail.touch_vpns.empty()) {
+  if (!tail.runs.empty()) {
     e->main_thread->Push(std::move(tail));
   }
 }

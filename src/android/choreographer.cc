@@ -52,7 +52,7 @@ void Choreographer::OnVsync() {
 
   WorkItem item;
   item.compute_us = frame->compute_us;
-  item.touch_vpns = std::move(frame->vpns);
+  item.runs = std::move(frame->runs);
   item.space = frame->space;
   item.write = false;
   SimTime enqueue = engine.now();

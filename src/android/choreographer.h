@@ -21,7 +21,8 @@ namespace ice {
 
 struct FrameWork {
   SimDuration compute_us = Ms(8);
-  std::vector<uint32_t> vpns;
+  // The pages the frame reads, in order (AppendVpn merges consecutive ones).
+  std::vector<VpnRun> runs;
   AddressSpace* space = nullptr;
 };
 

@@ -247,6 +247,15 @@ void BinaryReader::ExpectEnd() {
   }
 }
 
+void SnapshotArchive::Bool(bool& v) {
+  uint8_t byte = v ? 1 : 0;
+  Field<uint8_t>(byte);
+  if (byte > 1) {
+    Fail("bool byte " + std::to_string(byte) + " is neither 0 nor 1");
+  }
+  v = byte == 1;
+}
+
 void SnapshotArchive::Str(std::string& s) {
   if (writer_ != nullptr) {
     writer_->Str(s);

@@ -132,7 +132,9 @@ class SnapshotArchive {
   template <class T>
   void I64(T& v) { Field<int64_t>(v); }
   void F64(double& v) { Field<double>(v); }
-  void Bool(bool& v) { Field<uint8_t>(v); }
+  // One byte, 0 or 1; restoring throws on any other byte, which a save
+  // never writes.
+  void Bool(bool& v);
   void Str(std::string& s);
   void Bytes(void* data, size_t size);
 

@@ -87,28 +87,6 @@ AddressSpace::AddressSpace(Pid pid, Uid uid, std::string name, const AddressSpac
   lru_.BindArena(this, pages_.get(), page_count_);
 }
 
-PageInfo& AddressSpace::page(uint32_t vpn) {
-  ICE_CHECK_LT(vpn, page_count_);
-  return pages_[vpn];
-}
-
-const PageInfo& AddressSpace::page(uint32_t vpn) const {
-  ICE_CHECK_LT(vpn, page_count_);
-  return pages_[vpn];
-}
-
-void AddressSpace::AddResident(int64_t delta) {
-  int64_t next = static_cast<int64_t>(resident_) + delta;
-  ICE_CHECK_GE(next, 0);
-  resident_ = static_cast<PageCount>(next);
-}
-
-void AddressSpace::AddEvicted(int64_t delta) {
-  int64_t next = static_cast<int64_t>(evicted_) + delta;
-  ICE_CHECK_GE(next, 0);
-  evicted_ = static_cast<PageCount>(next);
-}
-
 static_assert(std::is_trivially_copyable_v<PageInfo>,
               "PageInfo must stay plain data for the snapshot image");
 

@@ -15,11 +15,14 @@
 #ifndef SRC_MEM_ADDRESS_SPACE_H_
 #define SRC_MEM_ADDRESS_SPACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "src/base/log.h"
 #include "src/base/units.h"
 #include "src/mem/lru.h"
 #include "src/mem/page.h"
@@ -27,6 +30,47 @@
 namespace ice {
 
 class SnapshotArchive;
+
+// A run of consecutive pages, vpns [begin, begin + count), touched in
+// order. Work items carry their touches as an ordered list of runs: a launch
+// prefix is one run, and a frame's sampled touches are mostly runs of one.
+// Lists hold no zero-length run.
+struct VpnRun {
+  uint32_t begin = 0;
+  uint32_t count = 0;
+};
+
+// Appends `vpn` to `runs`, extending the last run when `vpn` directly
+// follows it.
+inline void AppendVpn(std::vector<VpnRun>& runs, uint32_t vpn) {
+  if (!runs.empty() && runs.back().begin + runs.back().count == vpn) {
+    ++runs.back().count;
+  } else {
+    runs.push_back({vpn, 1});
+  }
+}
+
+// A position in a run list: the page `offset` pages into run `run`. At the
+// end of the list, run == runs.size() and offset == 0.
+struct RunCursor {
+  size_t run = 0;
+  uint32_t offset = 0;
+
+  bool done(std::span<const VpnRun> runs) const { return run == runs.size(); }
+  uint32_t vpn(std::span<const VpnRun> runs) const { return runs[run].begin + offset; }
+  // Steps past the current page.
+  void Next(std::span<const VpnRun> runs) {
+    if (++offset == runs[run].count) {
+      ++run;
+      offset = 0;
+    }
+  }
+};
+
+// How many touches ahead a loop that knows its upcoming vpns starts loading
+// their page records (AddressSpace::Prefetch). A hit costs tens of
+// nanoseconds, so eight touches cover most of a DRAM miss.
+inline constexpr size_t kTouchPrefetchDistance = 8;
 
 struct AddressSpaceLayout {
   PageCount java_pages = 0;
@@ -81,8 +125,15 @@ class AddressSpace {
   // MemoryManager aggregates these into live/peak figures so device-memory
   // headroom claims (and the fleet's low-RAM tiers) are backed by data.
   size_t arena_bytes() const { return page_count_ * sizeof(PageInfo); }
-  PageInfo& page(uint32_t vpn);
-  const PageInfo& page(uint32_t vpn) const;
+  // Inline: every page access goes through here.
+  PageInfo& page(uint32_t vpn) {
+    ICE_CHECK_LT(vpn, page_count_);
+    return pages_[vpn];
+  }
+  const PageInfo& page(uint32_t vpn) const {
+    ICE_CHECK_LT(vpn, page_count_);
+    return pages_[vpn];
+  }
   // Cache hint for an access to `vpn` coming soon: starts loading its
   // PageInfo. Changes no state; a vpn outside the space is ignored.
   void Prefetch(uint32_t vpn) const {
@@ -121,8 +172,16 @@ class AddressSpace {
   PageCount evicted() const { return evicted_; }
 
   // Bookkeeping used by MemoryManager only.
-  void AddResident(int64_t delta);
-  void AddEvicted(int64_t delta);
+  void AddResident(int64_t delta) {
+    int64_t next = static_cast<int64_t>(resident_) + delta;
+    ICE_CHECK_GE(next, 0);
+    resident_ = static_cast<PageCount>(next);
+  }
+  void AddEvicted(int64_t delta) {
+    int64_t next = static_cast<int64_t>(evicted_) + delta;
+    ICE_CHECK_GE(next, 0);
+    evicted_ = static_cast<PageCount>(next);
+  }
 
   // Iterates every page (for whole-process reclaim / teardown). The arena is
   // pinned for the AddressSpace lifetime (LRU links and fault handles

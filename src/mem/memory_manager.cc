@@ -169,6 +169,95 @@ SimDuration MemoryManager::ContentionPenalty() {
       contention_rng_.Exponential(static_cast<double>(config_.reclaim_contention_mean)));
 }
 
+// The fault path's per-page steps, inline: a work item's run loop takes
+// every hit and first touch through them.
+inline void MemoryManager::MaybeWakeKswapd() {
+  PageCount free = free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_);
+  if (config_.wm.NeedsKswapd(free) && !kswapd_woken_) {
+    kswapd_woken_ = true;
+    ++*ct_.kswapd_wakeups;
+    if (kswapd_waker_) {
+      kswapd_waker_();
+    }
+  }
+}
+
+inline void MemoryManager::TakeFrame(AddressSpace& space, AccessOutcome& outcome) {
+  (void)space;
+  if (config_.wm.NeedsDirectReclaim(free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_)) &&
+      !in_reclaim_) {
+    DirectReclaim(outcome);
+  }
+  --free_pages_;
+  MaybeWakeKswapd();
+}
+
+inline void MemoryManager::MakePresent(AddressSpace& space, PageInfo* page) {
+  ICE_CHECK(page->state() != PageState::kPresent);
+  bool was_evicted =
+      page->state() == PageState::kInZram || page->state() == PageState::kFaultingIn ||
+      page->state() == PageState::kOnFlash;
+  page->set_state(PageState::kPresent);
+  space.AddResident(1);
+  if (was_evicted) {
+    space.AddEvicted(-1);
+  }
+  space.lru().Insert(page);
+}
+
+inline void MemoryManager::Hit(AddressSpace& space, PageInfo& page, uint32_t vpn, bool write,
+                               AccessOutcome& outcome) {
+  space.lru().Touch(&page);
+  if (write && space.KindOf(vpn) == HeapKind::kFile) {
+    page.set_dirty(true);
+  }
+  outcome.kind = AccessOutcome::Kind::kHit;
+  outcome.cpu_us = config_.hit_cost;
+}
+
+inline void MemoryManager::FirstTouch(AddressSpace& space, PageInfo& page, uint32_t vpn,
+                                      bool write, AccessOutcome& outcome) {
+  ++*ct_.page_faults;
+  outcome.kind = AccessOutcome::Kind::kFirstTouch;
+  outcome.cpu_us = config_.fault_fixed_cost + ContentionPenalty();
+  TakeFrame(space, outcome);
+  MakePresent(space, &page);
+  if (write && space.KindOf(vpn) == HeapKind::kFile) {
+    page.set_dirty(true);
+  }
+}
+
+void MemoryManager::TouchRuns(AddressSpace& space, std::span<const VpnRun> runs, RunCursor& at,
+                              bool write, SimDuration budget, SimDuration& used) {
+  // Locals, so stores into page records and counters cannot alias them.
+  RunCursor c = at;
+  SimDuration spent = used;
+  while (!c.done(runs)) {
+    if (c.offset == 0 && c.run + kTouchPrefetchDistance < runs.size()) {
+      space.Prefetch(runs[c.run + kTouchPrefetchDistance].begin);
+    }
+    const uint32_t vpn = c.vpn(runs);
+    PageInfo& p = space.page(vpn);
+    AccessOutcome outcome;
+    if (p.state() == PageState::kPresent) {
+      Hit(space, p, vpn, write, outcome);
+    } else if (p.state() == PageState::kUntouched &&
+               !config_.wm.NeedsDirectReclaim(
+                   free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_))) {
+      FirstTouch(space, p, vpn, write, outcome);
+    } else {
+      break;
+    }
+    spent += outcome.cpu_us;
+    c.Next(runs);
+    if (spent >= budget) {
+      break;
+    }
+  }
+  at = c;
+  used = spent;
+}
+
 AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool write,
                                     const std::function<void()>& waker) {
   AccessOutcome outcome;
@@ -177,25 +266,12 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
 
   switch (p.state()) {
     case PageState::kPresent:
-      space.lru().Touch(&p);
-      if (write && space.KindOf(vpn) == HeapKind::kFile) {
-        p.set_dirty(true);
-      }
-      outcome.kind = AccessOutcome::Kind::kHit;
-      outcome.cpu_us = config_.hit_cost;
+      Hit(space, p, vpn, write, outcome);
       return outcome;
 
-    case PageState::kUntouched: {
-      ++*ct_.page_faults;
-      outcome.kind = AccessOutcome::Kind::kFirstTouch;
-      outcome.cpu_us = config_.fault_fixed_cost + ContentionPenalty();
-      TakeFrame(space, outcome);
-      MakePresent(space, &p);
-      if (write && space.KindOf(vpn) == HeapKind::kFile) {
-        p.set_dirty(true);
-      }
+    case PageState::kUntouched:
+      FirstTouch(space, p, vpn, write, outcome);
       return outcome;
-    }
 
     case PageState::kInZram: {
       ++*ct_.page_faults;
@@ -351,19 +427,6 @@ void MemoryManager::RecordRefaultStats(AddressSpace& space, uint32_t vpn, bool f
   ++space.total_refaults;
 }
 
-void MemoryManager::MakePresent(AddressSpace& space, PageInfo* page) {
-  ICE_CHECK(page->state() != PageState::kPresent);
-  bool was_evicted =
-      page->state() == PageState::kInZram || page->state() == PageState::kFaultingIn ||
-      page->state() == PageState::kOnFlash;
-  page->set_state(PageState::kPresent);
-  space.AddResident(1);
-  if (was_evicted) {
-    space.AddEvicted(-1);
-  }
-  space.lru().Insert(page);
-}
-
 void MemoryManager::FinishIoFault(AddressSpace* space, uint32_t vpn) {
   PageInfo& p = space->page(vpn);
   if (p.state() != PageState::kFaultingIn) {
@@ -382,40 +445,23 @@ void MemoryManager::FinishIoFault(AddressSpace* space, uint32_t vpn) {
   }
 }
 
-void MemoryManager::TakeFrame(AddressSpace& space, AccessOutcome& outcome) {
-  (void)space;
-  if (config_.wm.NeedsDirectReclaim(free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_)) &&
-      !in_reclaim_) {
-    // Direct reclaim: performed synchronously in the allocating task's
-    // context regardless of its priority — the priority inversion of §2.2.3.
-    ++*ct_.direct_reclaims;
-    int attempts = 0;
-    while (config_.wm.NeedsDirectReclaim(
-               free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_)) &&
-           attempts < 8) {
-      ++attempts;
-      ReclaimResult r = ReclaimBatch(config_.reclaim_batch, /*direct=*/true);
-      outcome.cpu_us += r.cpu_us;
-      outcome.direct_reclaimed += r.reclaimed;
-      if (r.reclaimed == 0) {
-        // Reclaim cannot make progress: fall back to the OOM path (LMK).
-        if (!oom_handler_ || !oom_handler_()) {
-          break;  // Emergency allocation from the reserve below.
-        }
+void MemoryManager::DirectReclaim(AccessOutcome& outcome) {
+  // Performed synchronously in the allocating task's context regardless of
+  // its priority — the priority inversion of §2.2.3.
+  ++*ct_.direct_reclaims;
+  int attempts = 0;
+  while (config_.wm.NeedsDirectReclaim(
+             free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_)) &&
+         attempts < 8) {
+    ++attempts;
+    ReclaimResult r = ReclaimBatch(config_.reclaim_batch, /*direct=*/true);
+    outcome.cpu_us += r.cpu_us;
+    outcome.direct_reclaimed += r.reclaimed;
+    if (r.reclaimed == 0) {
+      // Reclaim cannot make progress: fall back to the OOM path (LMK).
+      if (!oom_handler_ || !oom_handler_()) {
+        break;  // Emergency allocation from the reserve below.
       }
-    }
-  }
-  --free_pages_;
-  MaybeWakeKswapd();
-}
-
-void MemoryManager::MaybeWakeKswapd() {
-  PageCount free = free_pages_ < 0 ? 0 : static_cast<PageCount>(free_pages_);
-  if (config_.wm.NeedsKswapd(free) && !kswapd_woken_) {
-    kswapd_woken_ = true;
-    ++*ct_.kswapd_wakeups;
-    if (kswapd_waker_) {
-      kswapd_waker_();
     }
   }
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -125,6 +126,18 @@ class MemoryManager {
   AccessOutcome Access(AddressSpace& space, uint32_t vpn, bool write,
                        const std::function<void()>& waker);
 
+  // Touches the pages of `runs` in order from `at`, taking each page that is
+  // a hit or a first touch above the min watermark with exactly Access's
+  // effects, and adds each page's CPU cost to `used`. Stops after the touch
+  // that brings `used` to `budget`, before the first page that needs the
+  // rest of the fault path (zram, flash, in flight, direct reclaim: the
+  // caller passes it to Access), or at the end of the list. `at` ends on
+  // the first page not touched. Entering a run, it prefetches the first
+  // page record of the run kTouchPrefetchDistance runs ahead, which for a
+  // frame's runs of one page is the touch that far ahead.
+  void TouchRuns(AddressSpace& space, std::span<const VpnRun> runs, RunCursor& at, bool write,
+                 SimDuration budget, SimDuration& used);
+
   // ---- Frame accounting ----------------------------------------------------
 
   int64_t free_pages() const { return free_pages_; }
@@ -227,6 +240,9 @@ class MemoryManager {
   // Takes one free frame for `space`, entering direct reclaim below the min
   // watermark. Reclaim/OOM costs are accumulated into `outcome`.
   void TakeFrame(AddressSpace& space, AccessOutcome& outcome);
+  // TakeFrame's reclaim in the allocating task's context, up to the min
+  // watermark or 8 batches, falling back to the OOM handler.
+  void DirectReclaim(AccessOutcome& outcome);
 
   // Core scan: isolates candidates from both pools (proportionally) and
   // evicts up to `target` pages. Shared by kswapd and direct reclaim.
@@ -247,6 +263,15 @@ class MemoryManager {
   // Returns the number written back.
   PageCount ZramWritebackBatch(PageCount max_pages);
   AddressSpace* FindSpaceById(uint32_t space_id) const;
+
+  // The hit and first-touch cases of Access, which TouchRuns shares. A hit
+  // is an LRU touch; a first touch is a minor fault that takes a frame
+  // (entering direct reclaim below the min watermark) and makes the page
+  // present. Both mark a written file page dirty.
+  void Hit(AddressSpace& space, PageInfo& page, uint32_t vpn, bool write,
+           AccessOutcome& outcome);
+  void FirstTouch(AddressSpace& space, PageInfo& page, uint32_t vpn, bool write,
+                  AccessOutcome& outcome);
 
   void MakePresent(AddressSpace& space, PageInfo* page);
   void RecordRefaultStats(AddressSpace& space, uint32_t vpn, bool foreground);

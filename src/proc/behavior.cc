@@ -37,6 +37,22 @@ bool TaskContext::Touch(AddressSpace& space, uint32_t vpn, bool write) {
   return !ShouldStop();
 }
 
+bool TaskContext::TouchRuns(AddressSpace& space, std::span<const VpnRun> runs, RunCursor& at,
+                            bool write) {
+  mm().TouchRuns(space, runs, at, write, budget_, used_);
+  // Nothing the run loop does can block, sleep, freeze or kill this task:
+  // its kswapd wake only makes kswapd runnable. So only the budget can have
+  // ended the quantum, and ShouldStop() after the call is what it would
+  // have said after each of those touches.
+  if (used_ >= budget_ || at.done(runs)) {
+    return !ShouldStop();
+  }
+  // The loop stopped before a page that needs the full fault path.
+  uint32_t vpn = at.vpn(runs);
+  at.Next(runs);
+  return Touch(space, vpn, write);
+}
+
 void TaskContext::SleepUntilWoken() {
   slept_ = true;
   task_.SleepUntilWoken();
@@ -70,19 +86,10 @@ void WorkQueueBehavior::Run(TaskContext& ctx) {
     WorkItem& item = queue_.front();
 
     // Touch the item's pages first (rendering reads its inputs), then burn
-    // the compute. Both phases are resumable. The vpns are known up front,
-    // so each touch first starts loading the page record it will need
-    // kTouchPrefetchDistance touches later.
-    while (item.next_touch < item.touch_vpns.size()) {
+    // the compute. Both phases are resumable.
+    while (!item.next_touch.done(item.runs)) {
       ICE_CHECK(item.space != nullptr);
-      size_t ahead = item.next_touch + kTouchPrefetchDistance;
-      if (ahead < item.touch_vpns.size()) {
-        item.space->Prefetch(item.touch_vpns[ahead]);
-      }
-      uint32_t vpn = item.touch_vpns[item.next_touch];
-      ++item.next_touch;
-      ctx.Touch(*item.space, vpn, item.write);
-      if (ctx.ShouldStop()) {
+      if (!ctx.TouchRuns(*item.space, item.runs, item.next_touch, item.write)) {
         return;
       }
     }

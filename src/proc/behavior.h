@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +43,14 @@ class TaskContext {
   // blocks the task on flash faults. Returns false when the caller should
   // stop running (blocked or budget exhausted).
   bool Touch(AddressSpace& space, uint32_t vpn, bool write);
+
+  // Touches the pages of `runs` from `at` on, in order, and advances `at`
+  // past each page touched, with exactly the effects of one Touch per page.
+  // One memory-manager call takes every hit and every first touch that needs
+  // no direct reclaim, until the budget runs out; the page it stops at for
+  // any other reason goes through Touch. Returns false when the caller
+  // should stop running.
+  bool TouchRuns(AddressSpace& space, std::span<const VpnRun> runs, RunCursor& at, bool write);
 
   // Parks the task. Behaviors must return from Run() promptly afterwards.
   void SleepUntilWoken();
@@ -85,22 +94,17 @@ class Behavior {
   virtual void Transfer(SnapshotArchive& ar) { (void)ar; }
 };
 
-// How many touches ahead a behavior that knows its upcoming vpns starts
-// loading their page records (AddressSpace::Prefetch). A hit costs tens of
-// nanoseconds, so eight touches cover most of a DRAM miss.
-inline constexpr size_t kTouchPrefetchDistance = 8;
-
-// A unit of deferred work: CPU time plus a set of page touches, with an
-// optional completion callback (used for frame latency measurement).
+// A unit of deferred work: CPU time plus an ordered list of page touches,
+// with an optional completion callback (used for frame latency measurement).
 struct WorkItem {
   SimDuration compute_us = 0;
-  std::vector<uint32_t> touch_vpns;
+  std::vector<VpnRun> runs;
   AddressSpace* space = nullptr;
   bool write = false;
   std::function<void()> on_complete;
 
-  // Progress (internal).
-  size_t next_touch = 0;
+  // Progress (internal): the next page to touch.
+  RunCursor next_touch;
 };
 
 // Generic behavior draining a FIFO of WorkItems; sleeps when idle. This is
@@ -122,6 +126,8 @@ class WorkQueueBehavior : public Behavior {
 
   size_t pending() const { return queue_.size(); }
   uint64_t completed() const { return completed_; }
+  // The queued items, oldest first.
+  const std::deque<WorkItem>& queue() const { return queue_; }
 
   // Queued WorkItems carry completion closures a snapshot cannot carry.
   bool Quiescent() const override { return queue_.empty(); }

@@ -134,7 +134,7 @@ void Scenario::AppendColdFile(AddressSpace& space, FrameWork& frame, uint32_t pa
       // Wrap to the hot-prefix boundary: old content gets re-read.
       file_cursor_ = space.file_begin() + file_hot_;
     }
-    frame.vpns.push_back(file_cursor_++);
+    AppendVpn(frame.runs, file_cursor_++);
   }
 }
 
@@ -149,7 +149,7 @@ void Scenario::AppendAnonAlloc(AddressSpace& space, FrameWork& frame, uint32_t p
     if (anon_cursor_ < ring_begin || anon_cursor_ >= ring_end) {
       anon_cursor_ = ring_begin;
     }
-    frame.vpns.push_back(anon_cursor_++);
+    AppendVpn(frame.runs, anon_cursor_++);
   }
 }
 
@@ -184,9 +184,11 @@ std::optional<FrameWork> Scenario::NextFrame(SimTime vsync) {
     frame.compute_us += static_cast<SimDuration>(
         rng_.LogNormal(static_cast<double>(params_.hiccup_us), 0.4));
   }
-  frame.vpns.reserve(params_.frame_touches + params_.frame_alloc_pages + 16);
+  // A hot touch adds at most one run; each cursor append at most two (it may
+  // wrap).
+  frame.runs.reserve(params_.frame_touches + 6);
   for (uint32_t i = 0; i < params_.frame_touches; ++i) {
-    frame.vpns.push_back(SampleHotVpn(*space));
+    AppendVpn(frame.runs, SampleHotVpn(*space));
   }
   AppendAnonAlloc(*space, frame, params_.frame_alloc_pages);
 

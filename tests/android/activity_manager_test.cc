@@ -5,6 +5,7 @@
 #include "src/android/device_profile.h"
 #include "src/proc/task.h"
 #include "src/storage/flash_profiles.h"
+#include "tests/mem/vpn_runs.h"
 
 namespace ice {
 namespace {
@@ -79,6 +80,99 @@ TEST_F(AmTest, ColdLaunchPopulatesResidency) {
   AddressSpace* space = am_.main_space(app->uid());
   ASSERT_NE(space, nullptr);
   EXPECT_GT(space->resident(), 500u);  // Prefixes touched.
+}
+
+// The pages a launch touches, one vpn per touch: the file, java and native
+// prefixes of `space`, in that order.
+std::vector<uint32_t> LaunchPrefixes(const AddressSpace& space, const AppDescriptor& d,
+                                     bool cold) {
+  double file_fraction = cold ? d.cold_touch_fraction : d.hot_touch_fraction;
+  double anon_fraction = cold ? d.cold_touch_fraction * 0.8 : d.hot_touch_fraction;
+  const uint32_t begins[] = {space.file_begin(), space.java_begin(), space.native_begin()};
+  const uint32_t counts[] = {
+      static_cast<uint32_t>((space.file_end() - space.file_begin()) * file_fraction),
+      static_cast<uint32_t>((space.java_end() - space.java_begin()) * anon_fraction),
+      static_cast<uint32_t>((space.native_end() - space.native_begin()) * anon_fraction)};
+  std::vector<uint32_t> vpns;
+  for (int r = 0; r < 3; ++r) {
+    for (uint32_t vpn = begins[r]; vpn < begins[r] + counts[r]; ++vpn) {
+      vpns.push_back(vpn);
+    }
+  }
+  return vpns;
+}
+
+void ExpectNoEmptyRun(const WorkItem& item) {
+  for (const VpnRun& run : item.runs) {
+    EXPECT_GT(run.count, 0u) << "zero-length run at vpn " << run.begin;
+  }
+}
+
+// A cold launch queues its prefixes as at most three runs, cut at
+// floor(total * 2 / 5) pages between the interactive item and the tail.
+struct ColdSplit {
+  const char* name;
+  PageCount java_pages;
+  PageCount native_pages;
+  PageCount file_pages;
+  double cold_touch_fraction;
+  size_t head_runs;  // Runs of the interactive item.
+  size_t tail_runs;
+};
+
+TEST_F(AmTest, ColdLaunchQueuesItsPrefixesAsRunsSplitTwoFifths) {
+  const ColdSplit cases[] = {
+      // File 440, java 176, native 264 pages: the cut (352) falls inside the
+      // file run.
+      {"inside-a-run", 400, 600, 800, 0.55, 1, 3},
+      // File 400, java 200, native 400: the cut (400) is the file run's end.
+      {"on-a-boundary", 500, 1000, 800, 0.5, 1, 2},
+      // File 440, java 0 (2 * 0.44 rounds down), native 264: no java run.
+      {"empty-java-prefix", 2, 600, 800, 0.55, 1, 2},
+  };
+  for (const ColdSplit& c : cases) {
+    SCOPED_TRACE(c.name);
+    AppDescriptor d = SmallApp(c.name);
+    d.java_pages = c.java_pages;
+    d.native_pages = c.native_pages;
+    d.file_pages = c.file_pages;
+    d.cold_touch_fraction = c.cold_touch_fraction;
+    App* app = am_.Install(d);
+    am_.Launch(app->uid());
+
+    const std::deque<WorkItem>& queue = am_.main_thread(app->uid())->queue();
+    ASSERT_EQ(queue.size(), 2u);
+    std::vector<uint32_t> want = LaunchPrefixes(*am_.main_space(app->uid()), d, /*cold=*/true);
+    ASSERT_GT(want.size(), 512u);
+    const size_t split = want.size() * 2 / 5;
+    EXPECT_EQ(ExpandRuns(queue[0].runs),
+              std::vector<uint32_t>(want.begin(), want.begin() + static_cast<ptrdiff_t>(split)));
+    EXPECT_EQ(ExpandRuns(queue[1].runs),
+              std::vector<uint32_t>(want.begin() + static_cast<ptrdiff_t>(split), want.end()));
+    EXPECT_EQ(queue[0].runs.size(), c.head_runs);
+    EXPECT_EQ(queue[1].runs.size(), c.tail_runs);
+    ExpectNoEmptyRun(queue[0]);
+    ExpectNoEmptyRun(queue[1]);
+    engine_.RunFor(Sec(2));
+    EXPECT_TRUE(am_.interactive(app->uid()));
+    EXPECT_EQ(am_.main_thread(app->uid())->pending(), 0u);
+  }
+}
+
+TEST_F(AmTest, HotLaunchQueuesOneItem) {
+  App* app = InstallAndLaunch("a");
+  ASSERT_EQ(am_.main_thread(app->uid())->pending(), 0u);
+  am_.MoveForegroundToBackground();
+  am_.Launch(app->uid());
+  ASSERT_FALSE(am_.launches().back().cold);
+
+  const std::deque<WorkItem>& queue = am_.main_thread(app->uid())->queue();
+  ASSERT_EQ(queue.size(), 1u);
+  EXPECT_EQ(ExpandRuns(queue[0].runs),
+            LaunchPrefixes(*am_.main_space(app->uid()), am_.descriptor(app->uid()),
+                           /*cold=*/false));
+  EXPECT_EQ(queue[0].runs.size(), 3u);
+  ExpectNoEmptyRun(queue[0]);
 }
 
 TEST_F(AmTest, SecondLaunchIsHotAndFaster) {

@@ -210,6 +210,42 @@ TEST(SnapshotArchiveTest, ExpectMismatchThrows) {
   EXPECT_THROW(load.Expect<uint64_t>(8, "task count"), std::runtime_error);
 }
 
+// A bool travels as one byte, 0 or 1. Any other byte is a damaged stream:
+// reading it as true would re-save it as 1, and the two runs would diverge
+// without an error.
+TEST(SnapshotArchiveTest, BoolRejectsBytesOtherThanZeroAndOne) {
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  bool yes = true;
+  bool no = false;
+  save.Bool(yes);
+  save.Bool(no);
+  BinaryWriter bytes;
+  bytes.U8(1);
+  bytes.U8(0);
+  EXPECT_EQ(w.Finish(), bytes.Finish());
+
+  for (int byte = 0; byte < 256; ++byte) {
+    BinaryWriter raw;
+    raw.U8(static_cast<uint8_t>(byte));
+    std::vector<uint8_t> buf = raw.Finish();
+    BinaryReader r(buf);
+    SnapshotArchive load(r);
+    bool v = byte == 0;  // The opposite of what a valid byte restores.
+    if (byte <= 1) {
+      load.Bool(v);
+      EXPECT_EQ(v, byte == 1);
+      continue;
+    }
+    try {
+      load.Bool(v);
+      ADD_FAILURE() << "bool byte " << byte << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("snapshot: ", 0), 0u) << e.what();
+    }
+  }
+}
+
 TEST(SnapshotArchiveTest, CountBoundedBySectionNotStream) {
   BinaryWriter w;
   w.BeginSection(1);

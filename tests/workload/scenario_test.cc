@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/experiment.h"
+#include "tests/mem/vpn_runs.h"
 
 namespace ice {
 namespace {
@@ -37,7 +38,7 @@ TEST_F(ScenarioTest, ProducesFramesWithWork) {
   auto frame = scenario.NextFrame(exp_->engine().now());
   ASSERT_TRUE(frame.has_value());
   EXPECT_GT(frame->compute_us, Ms(1));
-  EXPECT_GT(frame->vpns.size(), 100u);
+  EXPECT_GT(ExpandRuns(frame->runs).size(), 100u);
   EXPECT_EQ(frame->space, exp_->am().main_space(uid));
 }
 
@@ -50,7 +51,7 @@ TEST_F(ScenarioTest, TouchesStayInBounds) {
   for (int i = 0; i < 300; ++i) {
     auto frame = scenario.NextFrame(exp_->engine().now() + i * kVsyncPeriod);
     ASSERT_TRUE(frame.has_value());
-    for (uint32_t vpn : frame->vpns) {
+    for (uint32_t vpn : ExpandRuns(frame->runs)) {
       ASSERT_LT(vpn, space->total_pages());
     }
   }
@@ -65,8 +66,9 @@ TEST_F(ScenarioTest, GameRoundsAllocateInWaves) {
   ASSERT_GT(params.round_period, 0u);
   // Count vpns per frame across a simulated round boundary.
   SimTime t0 = exp_->engine().now();
-  size_t baseline = scenario.NextFrame(t0)->vpns.size();
-  size_t at_round = scenario.NextFrame(t0 + params.round_period + kVsyncPeriod)->vpns.size();
+  size_t baseline = ExpandRuns(scenario.NextFrame(t0)->runs).size();
+  size_t at_round =
+      ExpandRuns(scenario.NextFrame(t0 + params.round_period + kVsyncPeriod)->runs).size();
   EXPECT_GT(at_round, baseline + 300);
 }
 
@@ -77,8 +79,9 @@ TEST_F(ScenarioTest, ShortVideoBurstsAddColdPages) {
   Scenario scenario(exp_->am(), uid, ScenarioKind::kShortVideo, Rng(7));
   ScenarioParams params = ParamsFor(ScenarioKind::kShortVideo);
   SimTime t0 = exp_->engine().now();
-  size_t normal = scenario.NextFrame(t0)->vpns.size();
-  size_t burst = scenario.NextFrame(t0 + params.burst_period + kVsyncPeriod)->vpns.size();
+  size_t normal = ExpandRuns(scenario.NextFrame(t0)->runs).size();
+  size_t burst =
+      ExpandRuns(scenario.NextFrame(t0 + params.burst_period + kVsyncPeriod)->runs).size();
   EXPECT_GT(burst, normal);
 }
 
@@ -115,8 +118,9 @@ TEST_F(ScenarioTest, RelaunchKeepsHotSpansValid) {
     auto frame = scenario.NextFrame(exp_->engine().now() + i * kVsyncPeriod);
     ASSERT_TRUE(frame.has_value());
     ASSERT_EQ(frame->space, space);
-    for (size_t t = 0; t < frame->vpns.size(); ++t) {
-      uint32_t vpn = frame->vpns[t];
+    const std::vector<uint32_t> vpns = ExpandRuns(frame->runs);
+    for (size_t t = 0; t < vpns.size(); ++t) {
+      uint32_t vpn = vpns[t];
       ASSERT_LT(vpn, space->total_pages());
       // The hot touches lead the frame; each must revisit a page the
       // relaunch populated, never one beyond the launched prefixes.

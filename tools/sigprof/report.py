@@ -4,6 +4,8 @@
     python3 tools/sigprof/report.py prof.txt [more.txt ...] [--top 25]
         [--stack 'label=OUTER>...>INNER' ...] [--lines REGEX ...]
         [--require REGEX]
+    python3 tools/sigprof/report.py change*.txt --baseline parent*.txt
+        [--top 25] [--stack ...]
 
 Every sampled address is resolved with `addr2line -f -i -C`, so a sample's
 stack lists inlined functions too (innermost first). Several profiles (say,
@@ -23,6 +25,16 @@ one per seed) are pooled. Shares are of all samples:
   function inlined into it) the self time lands on;
 - --require: exits 1 unless some sample has a frame matching REGEX (a
   profile that attributes nothing to the simulator is a broken profile).
+
+--baseline PROFILE... compares the profiles before it (a change) with
+these (its baseline, say the parent commit's binary): for the total, each
+--stack label and the top inclusive and self functions of either side, it
+prints each side's share of its own samples and its seconds, and the
+change in seconds. A sample's seconds are the profile's CPU time over its
+sample count (the header's cpu_s; the kernel delivers at most one signal
+per tick, so fewer than hz per second on a 250 Hz kernel), or 1/hz for a
+profile without cpu_s. Pool several runs per side: a share moves by a few
+points between runs of the same binary.
 
 Addresses map to an object and an offset through the executable mappings
 the sampler saved; this assumes each object's code segment has equal file
@@ -103,11 +115,83 @@ def symbolize(maps, samples):
     return names, lines
 
 
+def sample_seconds(header, count):
+    """CPU seconds one sample of a profile stands for."""
+    fields = dict(f.split("=", 1) for f in header.split() if "=" in f)
+    if "cpu_s" in fields and count:
+        return float(fields["cpu_s"]) / count
+    return 1.0 / float(fields.get("hz", 1))
+
+
+def load(paths):
+    """Pools profiles: [(frames innermost first, leaf file:line, seconds)]."""
+    pooled = []
+    for path in paths:
+        header, maps, samples = parse(path)
+        samples = [s for s in samples if s]
+        print(f"{path}: {header}")
+        names, lines = symbolize(maps, samples)
+        seconds = sample_seconds(header, len(samples))
+        pooled.extend((expand(s, names), lines.get((s[0], True), "??:0"), seconds)
+                      for s in samples)
+    return pooled
+
+
+def tally(pooled, keys):
+    """{key: [samples, seconds]} over the keys keys(frames) yields per sample."""
+    out = collections.defaultdict(lambda: [0, 0.0])
+    for frames, _, seconds in pooled:
+        for key in keys(frames):
+            out[key][0] += 1
+            out[key][1] += seconds
+    return out
+
+
+def compare(change, base, args):
+    """Prints baseline vs change: shares of each side's samples, seconds, delta."""
+    sides = (base, change)
+    totals = [len(p) for p in sides]
+
+    def rows(title, tallies, names):
+        print(f"\n{title}")
+        print(f"{'baseline':>17}  {'change':>17}  {'delta':>9}")
+        for name in names:
+            cells = []
+            for t, total in zip(tallies, totals):
+                n, sec = t.get(name, (0, 0.0))
+                cells.append((100.0 * n / total, sec))
+            (bp, bs), (cp, cs) = cells
+            print(f"{bp:5.1f}% {bs:8.2f} s  {cp:5.1f}% {cs:8.2f} s  {cs - bs:+7.2f} s  {name}")
+
+    specs = [stack_spec(spec) for spec in args.stack]
+
+    def stack_keys(frames):
+        return ["all samples"] + [label for label, _, patterns, leaf in specs
+                                  if matches_in_order(frames, patterns, leaf)]
+    rows("stacks (share of each side's samples, CPU seconds)",
+         [tally(p, stack_keys) for p in sides],
+         ["all samples"] + [label for label, _, _, _ in specs])
+    for title, keys in (("inclusive", lambda f: {short(x) for x in f}),
+                        ("self", lambda f: [short(f[0])])):
+        tallies = [tally(p, keys) for p in sides]
+        top = set()
+        for t in tallies:
+            top.update(sorted(t, key=lambda k: -t[k][1])[:args.top])
+        names = sorted(top, key=lambda k: -max(t.get(k, (0, 0.0))[1] for t in tallies))
+        rows(f"top {args.top} {title} of either side", tallies, names)
+
+
 def expand(stack, names):
     frames = []
     for depth, addr in enumerate(stack):
         frames.extend(names.get((addr, depth == 0), ["?? (unmapped)"]))
     return frames  # Innermost first.
+
+
+def stack_spec(spec):
+    """'label=OUTER>...>INNER[!]' -> (label, chain, patterns, leaf)."""
+    label, _, chain = spec.partition("=")
+    return label, chain, [re.compile(p) for p in chain.rstrip("!").split(">")], chain.endswith("!")
 
 
 def matches_in_order(frames, patterns, leaf):
@@ -143,16 +227,20 @@ def main():
     ap.add_argument("--stack", action="append", default=[], metavar="LABEL=OUTER>...>INNER")
     ap.add_argument("--lines", action="append", default=[], metavar="REGEX")
     ap.add_argument("--require", metavar="REGEX")
+    ap.add_argument("--baseline", nargs="+", metavar="PROFILE",
+                    help="compare the profiles before this flag against these")
     args = ap.parse_args()
 
-    stacks, leaf_lines = [], []
-    for path in args.profiles:
-        header, maps, samples = parse(path)
-        samples = [s for s in samples if s]
-        print(f"{path}: {header}")
-        names, lines = symbolize(maps, samples)
-        stacks.extend(expand(s, names) for s in samples)
-        leaf_lines.extend(lines.get((s[0], True), "??:0") for s in samples)
+    pooled = load(args.profiles)
+    if args.baseline:
+        base = load(args.baseline)
+        if not pooled or not base:
+            print("no samples")
+            return 1
+        compare(pooled, base, args)
+        return 0
+    stacks = [frames for frames, _, _ in pooled]
+    leaf_lines = [line for _, line, _ in pooled]
     total = len(stacks)
     if total == 0:
         print("no samples")
@@ -169,10 +257,7 @@ def main():
 
     if args.stack:
         print("\nstacks (% of samples)")
-    for spec in args.stack:
-        label, _, chain = spec.partition("=")
-        leaf = chain.endswith("!")
-        patterns = [re.compile(p) for p in chain.rstrip("!").split(">")]
+    for label, chain, patterns, leaf in map(stack_spec, args.stack):
         n = sum(1 for frames in stacks if matches_in_order(frames, patterns, leaf))
         print(f"{100.0 * n / total:6.1f}%  {label}  [{chain}]")
 

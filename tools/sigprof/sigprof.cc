@@ -7,15 +7,17 @@
 // An ITIMER_PROF timer asks for kHz samples per second of CPU time used by
 // the whole process (the kernel delivers at most one per tick, ~250 Hz on
 // common configs), and the handler records the interrupted thread's call
-// stack with backtrace(). At exit the library writes the executable
-// mappings of /proc/self/maps and one line of hex return addresses per
-// sample; report.py symbolizes them with addr2line. Without ICE_SIGPROF_OUT
+// stack with backtrace(). At exit the library writes a header with the
+// process's CPU time, the executable mappings of /proc/self/maps and one
+// line of hex return addresses per sample; report.py symbolizes them with
+// addr2line. Without ICE_SIGPROF_OUT
 // the library does nothing. Samples beyond kMaxSamples are counted as
 // dropped. Linux x86-64 and aarch64 only: the handler reads the interrupted
 // PC from the signal context.
 #include <execinfo.h>
 #include <signal.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -124,7 +126,14 @@ __attribute__((destructor)) void Stop() {
     fprintf(stderr, "sigprof: cannot write %s\n", g_out);
     return;
   }
-  fprintf(out, "# ice-sigprof v1 hz=%ld samples=%zu dropped=%zu\n", kHz, kept, taken - kept);
+  // The process's CPU time: the kernel may deliver fewer samples than kHz
+  // asks for, so report.py converts samples to seconds with this.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  double cpu_s = static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+                 static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) * 1e-6;
+  fprintf(out, "# ice-sigprof v1 hz=%ld samples=%zu dropped=%zu cpu_s=%.3f\n", kHz, kept,
+          taken - kept, cpu_s);
   if (FILE* maps = fopen("/proc/self/maps", "r")) {
     char line[4096];
     while (fgets(line, sizeof(line), maps) != nullptr) {
