@@ -86,17 +86,6 @@ App* ActivityManager::FindApp(Uid uid) {
   return e == nullptr ? nullptr : e->app.get();
 }
 
-App* ActivityManager::FindAppByPid(Pid pid) {
-  for (AppEntry& e : entries_) {
-    for (Process* p : e.app->processes()) {
-      if (p->pid() == pid) {
-        return e.app.get();
-      }
-    }
-  }
-  return nullptr;
-}
-
 const AppDescriptor& ActivityManager::descriptor(Uid uid) const {
   const AppEntry* e = EntryOf(uid);
   ICE_CHECK(e != nullptr) << "unknown uid " << uid;
@@ -499,6 +488,10 @@ void ActivityManager::Transfer(SnapshotArchive& ar) {
     bool frozen = app.frozen();
     ar.Bool(e.interactive);
     ar.U8(state);
+    if (state > AppState::kCached) {
+      SnapshotArchive::Fail("app " + std::to_string(app.uid()) + " has state byte " +
+                            std::to_string(static_cast<int>(state)));
+    }
     ar.I64(oom_adj);
     ar.Bool(frozen);
     ar.U64(app.cpu_time_us);

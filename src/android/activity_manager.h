@@ -79,7 +79,6 @@ class ActivityManager {
 
   App* Install(const AppDescriptor& descriptor);
   App* FindApp(Uid uid);
-  App* FindAppByPid(Pid pid);
   const AppDescriptor& descriptor(Uid uid) const;
   std::vector<App*> apps();
 

@@ -64,11 +64,6 @@ BinaryWriter::BinaryWriter() {
 
 void BinaryWriter::U8(uint8_t v) { buf_.push_back(v); }
 
-void BinaryWriter::U16(uint16_t v) {
-  buf_.push_back(static_cast<uint8_t>(v));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
 void BinaryWriter::U32(uint32_t v) {
   size_t at = buf_.size();
   buf_.resize(at + 4);
@@ -162,13 +157,6 @@ void BinaryReader::Need(size_t n) const {
 uint8_t BinaryReader::U8() {
   Need(1);
   return data_[pos_++];
-}
-
-uint16_t BinaryReader::U16() {
-  Need(2);
-  uint16_t v = static_cast<uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
-  pos_ += 2;
-  return v;
 }
 
 uint32_t BinaryReader::U32() {

@@ -33,12 +33,10 @@ class BinaryWriter {
   BinaryWriter();
 
   void U8(uint8_t v);
-  void U16(uint16_t v);
   void U32(uint32_t v);
   void U64(uint64_t v);
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void F64(double v);
-  void Bool(bool v) { U8(v ? 1 : 0); }
   void Str(const std::string& s);
   void Bytes(const void* data, size_t size);
 
@@ -75,12 +73,10 @@ class BinaryReader {
       : BinaryReader(buf.data(), buf.size(), verify_checksum) {}
 
   uint8_t U8();
-  uint16_t U16();
   uint32_t U32();
   uint64_t U64();
   int64_t I64() { return static_cast<int64_t>(U64()); }
   double F64();
-  bool Bool() { return U8() != 0; }
   std::string Str();
   void Bytes(void* out, size_t size);
 

@@ -1,23 +1,8 @@
 #include "src/base/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-
-#include "src/base/log.h"
 
 namespace ice {
-
-void Histogram::Add(double value) {
-  values_.push_back(value);
-  sorted_valid_ = false;
-}
-
-void Histogram::Clear() {
-  values_.clear();
-  sorted_.clear();
-  sorted_valid_ = false;
-}
 
 double Histogram::Sum() const {
   double s = 0.0;
@@ -37,53 +22,18 @@ double Histogram::Max() const {
   return values_.empty() ? 0.0 : *std::max_element(values_.begin(), values_.end());
 }
 
-double Histogram::Stddev() const {
-  if (values_.size() < 2) {
-    return 0.0;
-  }
-  double m = Mean();
-  double acc = 0.0;
-  for (double v : values_) {
-    acc += (v - m) * (v - m);
-  }
-  return std::sqrt(acc / (values_.size() - 1));
-}
-
 double Histogram::Percentile(double q) const {
   if (values_.empty()) {
     return 0.0;
   }
-  if (!sorted_valid_) {
-    sorted_ = values_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
+  std::vector<double> sorted = values_;
+  std::sort(sorted.begin(), sorted.end());
   q = std::clamp(q, 0.0, 1.0);
-  double rank = q * (sorted_.size() - 1);
+  double rank = q * (sorted.size() - 1);
   size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = rank - lo;
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-double Histogram::FractionAbove(double threshold) const {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  size_t n = 0;
-  for (double v : values_) {
-    if (v > threshold) {
-      ++n;
-    }
-  }
-  return static_cast<double>(n) / values_.size();
-}
-
-std::string Histogram::Summary() const {
-  std::ostringstream os;
-  os << "n=" << count() << " mean=" << Mean() << " p50=" << Percentile(0.5)
-     << " p95=" << Percentile(0.95) << " max=" << Max();
-  return os.str();
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace ice

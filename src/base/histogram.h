@@ -2,21 +2,20 @@
 #ifndef SRC_BASE_HISTOGRAM_H_
 #define SRC_BASE_HISTOGRAM_H_
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace ice {
 
 // Keeps every sample; fine for the sample counts the experiments produce
-// (at most a few hundred thousand frame latencies). Percentiles are computed
-// on demand by sorting a scratch copy.
+// (at most a few hundred thousand frame latencies). Percentile sorts a
+// scratch copy on each call.
 class Histogram {
  public:
   Histogram() = default;
 
-  void Add(double value);
-  void Clear();
+  void Add(double value) { values_.push_back(value); }
+  void Clear() { values_.clear(); }
 
   size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
@@ -25,23 +24,14 @@ class Histogram {
   double Mean() const;
   double Min() const;
   double Max() const;
-  double Stddev() const;
 
   // q in [0, 1]; linear interpolation between closest ranks.
   double Percentile(double q) const;
 
-  // Fraction of samples strictly above the threshold.
-  double FractionAbove(double threshold) const;
-
   const std::vector<double>& values() const { return values_; }
-
-  // "mean=.. p50=.. p95=.. max=.." one-liner for reports.
-  std::string Summary() const;
 
  private:
   std::vector<double> values_;
-  mutable std::vector<double> sorted_;   // Cache for percentile queries.
-  mutable bool sorted_valid_ = false;
 };
 
 }  // namespace ice

@@ -1,39 +1,14 @@
 #include "src/base/log.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace ice {
-
-namespace {
-// Atomic: sweep worker threads read the level while logging concurrently.
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kFatal:
-      return "FATAL";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
 namespace log_internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
-  stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
+  stream_ << "[" << (level == LogLevel::kFatal ? "FATAL" : "ERROR") << " " << file << ":" << line
+          << "] ";
 }
 
 LogMessage::~LogMessage() {

@@ -12,18 +12,11 @@
 
 namespace ice {
 
+// ICE_LOG(kError) always prints; kFatal (ICE_CHECK) also aborts.
 enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kFatal = 4,
+  kError,
+  kFatal,
 };
-
-// Global minimum level; messages below it are discarded. Default: kWarning,
-// so simulations are quiet unless a caller opts into verbosity.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace log_internal {
 
@@ -43,19 +36,16 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// Swallows a streamed expression when the log level filters it out.
+// Turns the streamed expression into void, the type of the other branch of
+// ICE_CHECK's conditional.
 struct Voidify {
   void operator&(std::ostream&) {}
 };
 
 }  // namespace log_internal
 
-#define ICE_LOG(level)                                                               \
-  (::ice::LogLevel::level < ::ice::GetLogLevel())                                    \
-      ? (void)0                                                                      \
-      : ::ice::log_internal::Voidify() &                                             \
-            ::ice::log_internal::LogMessage(::ice::LogLevel::level, __FILE__, __LINE__) \
-                .stream()
+#define ICE_LOG(level) \
+  ::ice::log_internal::LogMessage(::ice::LogLevel::level, __FILE__, __LINE__).stream()
 
 #define ICE_CHECK(cond)                                                                  \
   (cond) ? (void)0                                                                       \

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "src/base/binary_stream.h"
 #include "src/base/log.h"
@@ -53,14 +52,6 @@ void MergeHistogram::Add(double value) {
   ++counts_[BucketFor(value)];
 }
 
-void MergeHistogram::Clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 bool MergeHistogram::SameShape(const MergeHistogram& other) const {
   return options_.lo == other.options_.lo && options_.hi == other.options_.hi &&
          options_.buckets == other.options_.buckets;
@@ -83,10 +74,6 @@ void MergeHistogram::Merge(const MergeHistogram& other) {
   for (size_t i = 0; i < counts_.size(); ++i) {
     counts_[i] += other.counts_[i];
   }
-}
-
-double MergeHistogram::Mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
 
 double MergeHistogram::Min() const { return count_ == 0 ? 0.0 : min_; }
@@ -154,15 +141,6 @@ void MergeHistogram::Transfer(SnapshotArchive& ar) {
   ar.F64(sum_);
   ar.F64(min_);
   ar.F64(max_);
-}
-
-std::string MergeHistogram::Summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean=%.2f p50=%.2f p95=%.2f max=%.2f",
-                static_cast<unsigned long long>(count_), Mean(), Percentile(0.5),
-                Percentile(0.95), Max());
-  return buf;
 }
 
 }  // namespace ice

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ice {
@@ -38,7 +37,6 @@ class MergeHistogram {
   explicit MergeHistogram(const Options& options);
 
   void Add(double value);
-  void Clear();
 
   // Adds another histogram's contents. Both must share the same Options
   // (checked); see the header comment for the merge-order contract.
@@ -49,7 +47,6 @@ class MergeHistogram {
   uint64_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
   double Sum() const { return sum_; }
-  double Mean() const;
   double Min() const;  // 0 when empty.
   double Max() const;  // 0 when empty.
 
@@ -67,9 +64,6 @@ class MergeHistogram {
   double bucket_lower(size_t index) const;
   double bucket_upper(size_t index) const;
   size_t BucketFor(double value) const;
-
-  // "count=.. mean=.. p50=.. p95=.. max=.." one-liner for reports.
-  std::string Summary() const;
 
   // Snapshot support: writes the shape (checked on restore — a histogram
   // only restores into one constructed with the same Options) plus counts

@@ -1,6 +1,7 @@
 #include "src/base/stats.h"
 
-#include <sstream>
+#include <algorithm>
+#include <iterator>
 
 #include "src/base/binary_stream.h"
 
@@ -38,16 +39,12 @@ void StatsRegistry::Transfer(SnapshotArchive& ar) {
   }
   ar.Entries(counters_, 16, [&ar](std::string& name, uint64_t& value) {
     ar.Str(name);
+    if (ar.loading() &&
+        std::find(std::begin(stat::kAll), std::end(stat::kAll), name) == std::end(stat::kAll)) {
+      SnapshotArchive::Fail("unknown counter name \"" + name + "\"");
+    }
     ar.U64(value);
   });
-}
-
-std::string StatsRegistry::ToString() const {
-  std::ostringstream os;
-  for (const auto& [name, value] : counters_) {
-    os << name << " = " << value << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace ice

@@ -36,8 +36,6 @@ class StatsRegistry {
 
   void Reset();
 
-  std::string ToString() const;
-
   // Snapshot support. Restoring zeroes existing counters in place and
   // overwrites/creates from the stream — counters are never erased, so
   // pointers handed out by Counter() stay valid across a restore.
@@ -49,49 +47,65 @@ class StatsRegistry {
 };
 
 // Well-known counter names, shared between subsystems and experiments.
+// ICE_STAT_COUNTERS is their one list, X(constant, name) per counter: it
+// declares each stat:: constant and fills stat::kAll, so no counter can be
+// left out of the names restore accepts.
+//
+// The reclaim counters split kswapd from direct reclaim (vmstat's
+// pgsteal_kswapd/_direct analog), per pool and total. The "kswapd" buckets
+// cover every non-direct context (kswapd batches and per-process reclaim);
+// Fig 10's breakdown and the reclaim_begin/end trace events rely on the
+// split. mem.zram_rejects counts Stores refused for lack of capacity (the
+// pool hard-stopped mid-batch). The swap.* counters belong to the hotness
+// swap policy: victims kept resident by the admission gate, pages written
+// back from zram to flash, and stores by compression tier.
+#define ICE_STAT_COUNTERS(X)                                      \
+  X(kPagesReclaimed, "mem.pages_reclaimed")                       \
+  X(kPagesReclaimedAnon, "mem.pages_reclaimed_anon")              \
+  X(kPagesReclaimedFile, "mem.pages_reclaimed_file")              \
+  X(kPagesReclaimedKswapd, "mem.pages_reclaimed_kswapd")          \
+  X(kPagesReclaimedDirect, "mem.pages_reclaimed_direct")          \
+  X(kPagesReclaimedAnonKswapd, "mem.pages_reclaimed_anon_kswapd") \
+  X(kPagesReclaimedAnonDirect, "mem.pages_reclaimed_anon_direct") \
+  X(kPagesReclaimedFileKswapd, "mem.pages_reclaimed_file_kswapd") \
+  X(kPagesReclaimedFileDirect, "mem.pages_reclaimed_file_direct") \
+  X(kRefaults, "mem.refaults")                                    \
+  X(kRefaultsFg, "mem.refaults_fg")                               \
+  X(kRefaultsBg, "mem.refaults_bg")                               \
+  X(kRefaultsAnon, "mem.refaults_anon")                           \
+  X(kRefaultsFile, "mem.refaults_file")                           \
+  X(kRefaultsJavaHeap, "mem.refaults_java_heap")                  \
+  X(kRefaultsNativeHeap, "mem.refaults_native_heap")              \
+  X(kPageFaults, "mem.page_faults")                               \
+  X(kDirectReclaims, "mem.direct_reclaims")                       \
+  X(kKswapdWakeups, "mem.kswapd_wakeups")                         \
+  X(kZramStores, "mem.zram_stores")                               \
+  X(kZramLoads, "mem.zram_loads")                                 \
+  X(kZramRejects, "mem.zram_rejects")                             \
+  X(kSwapRejectsHot, "swap.rejects_hot")                          \
+  X(kSwapWritebackPages, "swap.writeback_pages")                  \
+  X(kSwapStoresFast, "swap.stores_fast")                          \
+  X(kSwapStoresDense, "swap.stores_dense")                        \
+  X(kIoReads, "io.reads")                                         \
+  X(kIoWrites, "io.writes")                                       \
+  X(kIoReadBytes, "io.read_bytes")                                \
+  X(kIoWriteBytes, "io.write_bytes")                              \
+  X(kLmkKills, "proc.lmk_kills")                                  \
+  X(kFreezes, "ice.freezes")                                      \
+  X(kThaws, "ice.thaws")                                          \
+  X(kColdLaunches, "android.cold_launches")                       \
+  X(kHotLaunches, "android.hot_launches")
+
 namespace stat {
-inline constexpr const char* kPagesReclaimed = "mem.pages_reclaimed";
-inline constexpr const char* kPagesReclaimedAnon = "mem.pages_reclaimed_anon";
-inline constexpr const char* kPagesReclaimedFile = "mem.pages_reclaimed_file";
-// kswapd vs direct-reclaim attribution (vmstat's pgsteal_kswapd/_direct
-// analog), per pool and total. The "kswapd" buckets cover every non-direct
-// context (kswapd batches and per-process reclaim); Fig 10's breakdown and
-// the reclaim_begin/end trace events rely on the split.
-inline constexpr const char* kPagesReclaimedKswapd = "mem.pages_reclaimed_kswapd";
-inline constexpr const char* kPagesReclaimedDirect = "mem.pages_reclaimed_direct";
-inline constexpr const char* kPagesReclaimedAnonKswapd = "mem.pages_reclaimed_anon_kswapd";
-inline constexpr const char* kPagesReclaimedAnonDirect = "mem.pages_reclaimed_anon_direct";
-inline constexpr const char* kPagesReclaimedFileKswapd = "mem.pages_reclaimed_file_kswapd";
-inline constexpr const char* kPagesReclaimedFileDirect = "mem.pages_reclaimed_file_direct";
-inline constexpr const char* kRefaults = "mem.refaults";
-inline constexpr const char* kRefaultsFg = "mem.refaults_fg";
-inline constexpr const char* kRefaultsBg = "mem.refaults_bg";
-inline constexpr const char* kRefaultsAnon = "mem.refaults_anon";
-inline constexpr const char* kRefaultsFile = "mem.refaults_file";
-inline constexpr const char* kRefaultsJavaHeap = "mem.refaults_java_heap";
-inline constexpr const char* kRefaultsNativeHeap = "mem.refaults_native_heap";
-inline constexpr const char* kPageFaults = "mem.page_faults";
-inline constexpr const char* kDirectReclaims = "mem.direct_reclaims";
-inline constexpr const char* kKswapdWakeups = "mem.kswapd_wakeups";
-inline constexpr const char* kZramStores = "mem.zram_stores";
-inline constexpr const char* kZramLoads = "mem.zram_loads";
-// A Store refused for lack of capacity (the pool hard-stopped mid-batch).
-inline constexpr const char* kZramRejects = "mem.zram_rejects";
-// Hotness swap policy: victims kept resident by the admission gate, pages
-// written back from zram to flash, and stores by compression tier.
-inline constexpr const char* kSwapRejectsHot = "swap.rejects_hot";
-inline constexpr const char* kSwapWritebackPages = "swap.writeback_pages";
-inline constexpr const char* kSwapStoresFast = "swap.stores_fast";
-inline constexpr const char* kSwapStoresDense = "swap.stores_dense";
-inline constexpr const char* kIoReads = "io.reads";
-inline constexpr const char* kIoWrites = "io.writes";
-inline constexpr const char* kIoReadBytes = "io.read_bytes";
-inline constexpr const char* kIoWriteBytes = "io.write_bytes";
-inline constexpr const char* kLmkKills = "proc.lmk_kills";
-inline constexpr const char* kFreezes = "ice.freezes";
-inline constexpr const char* kThaws = "ice.thaws";
-inline constexpr const char* kColdLaunches = "android.cold_launches";
-inline constexpr const char* kHotLaunches = "android.hot_launches";
+#define ICE_STAT_CONSTANT(id, name) inline constexpr const char* id = name;
+ICE_STAT_COUNTERS(ICE_STAT_CONSTANT)
+#undef ICE_STAT_CONSTANT
+
+// Every name above. The simulator creates no other counter, so restore
+// rejects any other name.
+#define ICE_STAT_NAME(id, name) name,
+inline constexpr const char* kAll[] = {ICE_STAT_COUNTERS(ICE_STAT_NAME)};
+#undef ICE_STAT_NAME
 }  // namespace stat
 
 }  // namespace ice

@@ -1,9 +1,10 @@
 // The ICE daemon (Fig. 5): glues RPF and MDT to the rest of the system.
 //
 // It maintains the UID↔PID mapping table from framework lifecycle events
-// (the /proc/{pid}/ice-mp channel of §4.2.2), keeps the whitelist in sync
-// with oom_score_adj changes, subscribes RPF to kernel refault events, runs
-// MDT's heartbeat, and implements thaw-on-launch bookkeeping.
+// (§4.2.2 delivers them through /proc/{pid}/ice-mp; the daemon updates the
+// table directly), keeps the whitelist in sync with oom_score_adj changes,
+// subscribes RPF to kernel refault events, runs MDT's heartbeat, and
+// implements thaw-on-launch bookkeeping.
 #ifndef SRC_ICE_DAEMON_H_
 #define SRC_ICE_DAEMON_H_
 

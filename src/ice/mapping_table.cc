@@ -1,6 +1,6 @@
 #include "src/ice/mapping_table.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "src/base/binary_stream.h"
 
@@ -73,20 +73,6 @@ bool MappingTable::AddProcess(Uid uid, Pid pid, int score) {
     return false;
   }
   e->processes.push_back(ProcessEntry{pid, score});
-  return true;
-}
-
-bool MappingTable::RemoveProcess(Uid uid, Pid pid) {
-  AppEntry* e = FindMutable(uid);
-  if (e == nullptr) {
-    return false;
-  }
-  auto it = std::remove_if(e->processes.begin(), e->processes.end(),
-                           [pid](const ProcessEntry& p) { return p.pid == pid; });
-  if (it == e->processes.end()) {
-    return false;
-  }
-  e->processes.erase(it, e->processes.end());
   return true;
 }
 

@@ -42,7 +42,6 @@ class MappingTable {
   bool AddApp(Uid uid);
   bool RemoveApp(Uid uid);
   bool AddProcess(Uid uid, Pid pid, int score);
-  bool RemoveProcess(Uid uid, Pid pid);
   bool SetScore(Uid uid, int score);           // All processes of the app.
   bool SetFrozen(Uid uid, bool frozen);
 
@@ -52,8 +51,6 @@ class MappingTable {
 
   size_t app_count() const { return entries_.size(); }
   size_t MemoryFootprintBytes() const;
-
-  const std::vector<AppEntry>& entries() const { return entries_; }
 
   // Snapshot support.
   void Transfer(SnapshotArchive& ar);

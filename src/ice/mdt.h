@@ -47,7 +47,6 @@ class Mdt {
   bool managing(Uid uid) const { return managed_.count(uid) > 0; }
   size_t managed_count() const { return managed_.size(); }
   uint64_t epochs() const { return epochs_; }
-  bool in_thaw_period() const { return in_thaw_period_; }
 
   // ---- Snapshot support -----------------------------------------------------
   // The heartbeat is one pending event (next period boundary); it is saved as

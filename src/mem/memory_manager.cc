@@ -110,12 +110,14 @@ void MemoryManager::Release(AddressSpace& space) {
         break;
       case PageState::kFaultingIn: {
         // Abandon the in-flight fault; the completion handler no-ops once the
-        // state is reset. Waiters belong to the dying process.
+        // state is reset. Waiters belong to the dying process. The fault
+        // took a frame for this page (readahead pages too): return it.
         auto pending = pending_faults_.find(space.handle_of(space.VpnOf(p)).packed);
         if (pending != pending_faults_.end()) {
           RecycleWaiterList(std::move(pending->second));
           pending_faults_.erase(pending);
         }
+        ++free_pages_;
         break;
       }
       case PageState::kOnFlash:
@@ -511,6 +513,23 @@ void MemoryManager::Transfer(SnapshotArchive& ar) {
                           " pages, " + std::to_string(in_zram.bytes) + " bytes; zram stores " +
                           std::to_string(zram_.stored_pages()) + " pages, " +
                           std::to_string(zram_.stored_bytes()) + " bytes");
+  }
+  if (ar.loading()) {
+    // The frame ledger MemAccountingProperty checks: with no fault in
+    // flight, every usable frame is free, resident or holding zram data.
+    int64_t resident = 0;
+    for (const AddressSpace* space : spaces_) {
+      resident += static_cast<int64_t>(space->resident());
+    }
+    const int64_t usable = static_cast<int64_t>(config_.total_pages - config_.os_reserved_pages);
+    if (zram_frames_held_ != BytesToPages(zram_.stored_bytes()) ||
+        free_pages_ + resident + static_cast<int64_t>(zram_frames_held_) != usable) {
+      SnapshotArchive::Fail("frame ledger: free " + std::to_string(free_pages_) + " + resident " +
+                            std::to_string(resident) + " + zram " +
+                            std::to_string(zram_frames_held_) + " != usable " +
+                            std::to_string(usable) + " (zram stores " +
+                            std::to_string(zram_.stored_bytes()) + " bytes)");
+    }
   }
 }
 

@@ -49,7 +49,6 @@ class Lmk : public Ticker {
   // approximate stall pressure with the system-wide refault rate; a cached
   // app dies when the smoothed rate exceeds this threshold (0 disables).
   void set_psi_refaults_per_sec(double rate) { psi_threshold_ = rate; }
-  double psi_refault_rate() const { return refault_rate_ewma_; }
 
   // Snapshot support (thresholds are reconfigured by the harness, not saved).
   void Transfer(SnapshotArchive& ar);

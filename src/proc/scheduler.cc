@@ -33,11 +33,9 @@ Task* Scheduler::CreateTask(std::string name, Process* process, int nice,
   tasks_.push_back(std::move(task));
   live_tasks_.push_back(raw);
   raw->set_trace_id(++task_seq_);
-#ifndef ICE_TRACE_DISABLED
   if (Tracer* tracer = engine_.tracer()) {
     tracer->RegisterTaskName(raw->trace_id(), raw->name());
   }
-#endif
   if (process != nullptr) {
     process->AddTask(raw);
   }
@@ -74,7 +72,6 @@ SimTime Scheduler::NextWorkAt(SimTime now) {
   if (!run_queue_.empty()) {
     return now;
   }
-#ifndef ICE_TRACE_DISABLED
   if (engine_.tracer() != nullptr) {
     // A core still shows a (stale) occupant: the next Tick emits its
     // switch-to-idle sched event, so that tick cannot be skipped.
@@ -84,7 +81,6 @@ SimTime Scheduler::NextWorkAt(SimTime now) {
       }
     }
   }
-#endif
   return kTickerIdle;
 }
 
@@ -160,6 +156,14 @@ void Scheduler::Transfer(SnapshotArchive& ar) {
       }
       run_queue_.PushBack(t);
     }
+    // Wake() returns early for a runnable task, so one left off the queue
+    // would never run again.
+    for (auto& t : tasks_) {
+      if (t->state() == TaskState::kRunnable &&
+          !static_cast<ListNode<RunQueueTag>*>(t.get())->linked()) {
+        SnapshotArchive::Fail("runnable task " + t->name() + " is missing from the run queue");
+      }
+    }
   }
   ar.Sequence(core_last_, 8, task_ref);
 }
@@ -187,12 +191,10 @@ void Scheduler::Tick(SimTime now) {
   capacity_us_ += static_cast<uint64_t>(num_cores_) * quantum;
   second_capacity_us_ += static_cast<uint64_t>(num_cores_) * quantum;
 
-#ifndef ICE_TRACE_DISABLED
   Tracer* tracer = engine_.tracer();
   if (tracer != nullptr) {
     core_occupants_.assign(static_cast<size_t>(num_cores_), nullptr);
   }
-#endif
 
   if (!run_queue_.empty()) {
     // Select up to num_cores tasks. Tasks repaying debt (mid non-preemptive
@@ -223,11 +225,9 @@ void Scheduler::Tick(SimTime now) {
       if (task->state() != TaskState::kRunnable) {
         continue;  // Frozen/killed by an earlier task this tick.
       }
-#ifndef ICE_TRACE_DISABLED
       if (tracer != nullptr) {
         core_occupants_[i] = task;
       }
-#endif
       SimDuration budget = quantum;
       SimDuration busy = 0;
 
@@ -260,7 +260,6 @@ void Scheduler::Tick(SimTime now) {
     }
   }
 
-#ifndef ICE_TRACE_DISABLED
   // One sched_switch per core whose occupant changed this quantum (trace id
   // 0 = idle). Graveyarded tasks are never deallocated mid-simulation, so
   // the stale pointers in core_last_ are safe to compare against.
@@ -279,7 +278,6 @@ void Scheduler::Tick(SimTime now) {
                 {.pid = pid, .core = i, .arg0 = occ != nullptr ? occ->trace_id() : 0});
     }
   }
-#endif
 
   // Per-second utilization sampling for Table-1 style peak/average figures.
   if (now + quantum >= next_second_boundary_) {

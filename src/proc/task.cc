@@ -1,5 +1,6 @@
 #include "src/proc/task.h"
 
+#include <string>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -199,6 +200,10 @@ void Task::Transfer(SnapshotArchive& ar) {
   // The scheduler has already emptied its run queue on restore; state_ is set
   // directly and membership is rebuilt from the serialized queue order.
   ar.U8(state_);
+  if (state_ > TaskState::kDead) {
+    SnapshotArchive::Fail("task " + name_ + " has state byte " +
+                          std::to_string(static_cast<int>(state_)));
+  }
   ar.Bool(freeze_pending_);
   ar.Bool(wake_pending_);
   ar.U64(vruntime_us_);

@@ -101,7 +101,6 @@ class Task : public ListNode<RunQueueTag> {
   // the task is on a CPU take effect at the next safe point (quantum end or
   // voluntary sleep), mirroring try_to_freeze().
   void set_on_cpu(bool on_cpu) { on_cpu_ = on_cpu; }
-  bool on_cpu() const { return on_cpu_; }
   // Applies a deferred freeze at quantum end.
   void CommitPendingFreeze();
 

@@ -41,7 +41,6 @@ class BlockDevice {
   // when enabled, queued foreground requests are started before background
   // ones. Off by default — the paper's stock configuration is FIFO.
   void set_fg_priority(bool enabled) { fg_priority_ = enabled; }
-  bool fg_priority() const { return fg_priority_; }
 
   size_t queued() const { return queue_.size(); }
   int inflight() const { return inflight_; }

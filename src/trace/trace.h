@@ -6,19 +6,13 @@
 // The first argument is any expression yielding an Engine (the component's
 // engine reference); the event is stamped with its current SimTime. When the
 // engine has no tracer installed (tracing disabled — the default) the cost is
-// one pointer load and branch. Building with -DICE_TRACE_DISABLED (CMake
-// option ICE_TRACE_DISABLED) compiles the tracepoints out entirely.
+// one pointer load and branch.
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
 #include "src/sim/engine.h"
 #include "src/trace/tracer.h"
 
-#ifdef ICE_TRACE_DISABLED
-#define ICE_TRACE(engine, ...) \
-  do {                         \
-  } while (0)
-#else
 // __VA_ARGS__ carries the event type plus an optional braced TraceArgs
 // initializer; the preprocessor re-joins the designated initializers' commas.
 #define ICE_TRACE(engine, ...)                              \
@@ -28,6 +22,5 @@
       ice_trace_tracer_->Emit((engine).now(), __VA_ARGS__); \
     }                                                       \
   } while (0)
-#endif
 
 #endif  // SRC_TRACE_TRACE_H_

@@ -51,7 +51,6 @@ class Tracer {
     task_names_[trace_id] = name;
   }
   const std::string& TaskName(uint64_t trace_id) const;
-  const std::map<uint64_t, std::string>& task_names() const { return task_names_; }
 
   std::vector<TraceEvent> Events() const { return ring_.Snapshot(); }
   uint64_t emitted() const { return emitted_; }

@@ -301,13 +301,5 @@ TEST_F(AmTest, LaunchCallbackReceivesRecord) {
   EXPECT_TRUE(seen.cold);
 }
 
-TEST_F(AmTest, FindAppByPid) {
-  App* a = InstallAndLaunch("a");
-  Process* main = am_.main_process(a->uid());
-  ASSERT_NE(main, nullptr);
-  EXPECT_EQ(am_.FindAppByPid(main->pid()), a);
-  EXPECT_EQ(am_.FindAppByPid(999999), nullptr);
-}
-
 }  // namespace
 }  // namespace ice

@@ -11,7 +11,6 @@ TEST(Histogram, EmptyIsZero) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Mean(), 0.0);
   EXPECT_EQ(h.Percentile(0.5), 0.0);
-  EXPECT_EQ(h.FractionAbove(1.0), 0.0);
 }
 
 TEST(Histogram, BasicMoments) {
@@ -24,7 +23,6 @@ TEST(Histogram, BasicMoments) {
   EXPECT_DOUBLE_EQ(h.Mean(), 3.0);
   EXPECT_DOUBLE_EQ(h.Min(), 1.0);
   EXPECT_DOUBLE_EQ(h.Max(), 5.0);
-  EXPECT_NEAR(h.Stddev(), 1.5811, 1e-3);
 }
 
 TEST(Histogram, Percentiles) {
@@ -45,22 +43,12 @@ TEST(Histogram, PercentileClampsQ) {
   EXPECT_DOUBLE_EQ(h.Percentile(2.0), 42.0);
 }
 
-TEST(Histogram, PercentileCacheInvalidatedByAdd) {
+TEST(Histogram, PercentileSeesLaterAdds) {
   Histogram h;
   h.Add(1.0);
   EXPECT_DOUBLE_EQ(h.Percentile(1.0), 1.0);
   h.Add(10.0);
   EXPECT_DOUBLE_EQ(h.Percentile(1.0), 10.0);
-}
-
-TEST(Histogram, FractionAbove) {
-  Histogram h;
-  for (int i = 1; i <= 10; ++i) {
-    h.Add(i);
-  }
-  EXPECT_DOUBLE_EQ(h.FractionAbove(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(h.FractionAbove(10.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.FractionAbove(0.0), 1.0);
 }
 
 TEST(Histogram, ClearResets) {
@@ -69,13 +57,6 @@ TEST(Histogram, ClearResets) {
   h.Clear();
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.Mean(), 0.0);
-}
-
-TEST(Histogram, SummaryMentionsCount) {
-  Histogram h;
-  h.Add(1.0);
-  h.Add(2.0);
-  EXPECT_NE(h.Summary().find("n=2"), std::string::npos);
 }
 
 }  // namespace

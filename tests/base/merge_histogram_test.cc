@@ -29,7 +29,6 @@ TEST(MergeHistogramTest, EmptyHistogram) {
   EXPECT_TRUE(h.empty());
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Sum(), 0.0);
-  EXPECT_EQ(h.Mean(), 0.0);
   EXPECT_EQ(h.Min(), 0.0);
   EXPECT_EQ(h.Max(), 0.0);
   EXPECT_EQ(h.Percentile(0.5), 0.0);
@@ -89,7 +88,7 @@ TEST(MergeHistogramTest, PercentilesAgreeWithExactHistogramWithinBucketWidth) {
   EXPECT_EQ(merged.count(), exact.count());
   EXPECT_EQ(merged.Min(), exact.Min());
   EXPECT_EQ(merged.Max(), exact.Max());
-  EXPECT_NEAR(merged.Mean(), exact.Mean(), exact.Mean() * 1e-9);
+  EXPECT_NEAR(merged.Sum() / merged.count(), exact.Mean(), exact.Mean() * 1e-9);
 }
 
 std::vector<MergeHistogram> Partials(const MergeHistogram::Options& o, int parts,
@@ -169,18 +168,6 @@ TEST(MergeHistogramTest, MergeWithEmptyIsIdentity) {
   merged.Merge(empty);
   ExpectSameDistribution(merged, parts[0]);
   EXPECT_EQ(merged.Sum(), parts[0].Sum());
-}
-
-TEST(MergeHistogramTest, ClearResets) {
-  MergeHistogram h(TestOptions());
-  h.Add(10.0);
-  h.Add(1e7);
-  h.Clear();
-  EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.Percentile(0.9), 0.0);
-  h.Add(5.0);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.Min(), 5.0);
 }
 
 }  // namespace

@@ -46,11 +46,5 @@ TEST(StatsRegistry, ResetZeroesAll) {
   EXPECT_EQ(stats.Get("a"), 0u);
 }
 
-TEST(StatsRegistry, ToStringContainsEntries) {
-  StatsRegistry stats;
-  stats.Add("mem.foo", 2);
-  EXPECT_NE(stats.ToString().find("mem.foo = 2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ice

@@ -13,10 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/android/activity_manager.h"
 #include "src/base/binary_stream.h"
+#include "src/base/stats.h"
 #include "src/harness/experiment.h"
 #include "src/mem/address_space.h"
 #include "src/mem/memory_manager.h"
+#include "src/proc/behavior.h"
+#include "src/proc/freezer.h"
 #include "src/proc/scheduler.h"
 #include "src/proc/task.h"
 #include "src/trace/tracer.h"
@@ -653,6 +657,8 @@ TEST(SnapshotRestoreChecks, ResidentAndEvictedCountersMustMatchTheRecords) {
 // counters, and ends with the space's payload, byte for byte the section
 // SaveCheckSpace writes.
 
+constexpr size_t kFreePagesAt = kStreamHeader + 4 + 8;
+constexpr size_t kZramFramesAt = kFreePagesAt + 8;
 constexpr size_t kArenaLiveAt = kStreamHeader + 4 + 5 * 8;
 constexpr size_t kArenaPeakAt = kArenaLiveAt + 8;
 
@@ -739,6 +745,149 @@ TEST(SnapshotRestoreChecks, ArenaCountersMustFitTheRegisteredSpaces) {
   });
   ExpectManagerRejected(AgingPolicy::kGenClock, [&](std::vector<uint8_t>& b, size_t) {
     PutU64(b, kArenaPeakAt, live - kRecordBytes);
+  });
+}
+
+// The frame ledger MemAccountingProperty checks: every usable frame is
+// free, resident or holding zram data, and zram holds the frames its stored
+// bytes fill. A free counter off by one would otherwise restore silently.
+TEST(SnapshotRestoreChecks, FreePagesMustBalanceTheFrameLedger) {
+  for (AgingPolicy aging : {AgingPolicy::kTwoList, AgingPolicy::kGenClock}) {
+    for (int64_t delta : {1, -1}) {
+      ExpectManagerRejected(aging, [delta](std::vector<uint8_t>& b, size_t) {
+        PutU64(b, kFreePagesAt, GetU64(b, kFreePagesAt) + static_cast<uint64_t>(delta));
+      });
+    }
+    // The sum still balances, but zram claims a frame its bytes do not fill.
+    ExpectManagerRejected(aging, [](std::vector<uint8_t>& b, size_t) {
+      PutU64(b, kFreePagesAt, GetU64(b, kFreePagesAt) - 1);
+      PutU64(b, kZramFramesAt, GetU64(b, kZramFramesAt) + 1);
+    });
+  }
+}
+
+// ---- Restore checks on other sections ----------------------------------------
+//
+// Each rig builds one subsystem in a fixed state; Transfer saves or restores
+// that subsystem's section alone.
+
+// Saves a fresh rig, checks that the bytes restore into a second one, then
+// applies `mutate` and expects the restore into a third to throw.
+template <class Rig>
+void ExpectRigRejected(const std::function<void(std::vector<uint8_t>&)>& mutate) {
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  Rig().Transfer(save);
+  std::vector<uint8_t> bytes = w.Finish();
+  {
+    BinaryReader r(bytes, /*verify_checksum=*/false);
+    SnapshotArchive load(r);
+    ASSERT_NO_THROW(Rig().Transfer(load));
+  }
+  mutate(bytes);
+  BinaryReader r(bytes, /*verify_checksum=*/false);
+  SnapshotArchive load(r);
+  try {
+    Rig().Transfer(load);
+    ADD_FAILURE() << "mutated section was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: ", 0), 0u) << e.what();
+  }
+}
+
+// One counter, mem.refaults, in the engine's stats registry.
+struct EngineRig {
+  EngineRig() { engine.stats().Increment(stat::kRefaults); }
+  void Transfer(SnapshotArchive& ar) { engine.Transfer(ar); }
+
+  Engine engine{3};
+};
+
+// Restore would add an unknown name as a new counter, and the real counter
+// would restart from zero.
+TEST(SnapshotRestoreChecks, CounterNamesMustBeKnown) {
+  ExpectRigRejected<EngineRig>([](std::vector<uint8_t>& b) {
+    const std::string name = stat::kRefaults;
+    auto at = std::search(b.begin(), b.end(), name.begin(), name.end());
+    ASSERT_NE(at, b.end());
+    at[static_cast<std::ptrdiff_t>(name.size()) - 1] = 'z';
+  });
+}
+
+struct IdleBehavior : Behavior {
+  void Run(TaskContext& ctx) override { ctx.SleepUntilWoken(); }
+};
+
+// A sleeping task and a runnable one, neither with a timer. The payload is
+// six u64 clocks, the u64 task count, an empty per-second series (u64 0),
+// the u64 task population, then per task {u8 state, two bools, six u64, the
+// timer's armed bool}, the run queue and the cores' last occupants.
+struct SchedulerRig {
+  static constexpr size_t kFirstTaskAt = kStreamHeader + 9 * 8;
+  static constexpr size_t kTaskBytes = 3 + 6 * 8 + 1;
+
+  SchedulerRig() {
+    sched.CreateTask("sleeper", nullptr, 0, std::make_unique<IdleBehavior>())->SleepUntilWoken();
+    sched.CreateTask("runner", nullptr, 0, std::make_unique<IdleBehavior>());
+  }
+  void Transfer(SnapshotArchive& ar) { sched.Transfer(ar); }
+
+  Engine engine{3};
+  MemoryManager mm{engine, MemConfig{}, nullptr};
+  Scheduler sched{engine, mm, 2};
+};
+
+void ExpectTaskStates(const std::vector<uint8_t>& b) {
+  ASSERT_EQ(b[SchedulerRig::kFirstTaskAt], static_cast<uint8_t>(TaskState::kSleeping));
+  ASSERT_EQ(b[SchedulerRig::kFirstTaskAt + SchedulerRig::kTaskBytes],
+            static_cast<uint8_t>(TaskState::kRunnable));
+}
+
+TEST(SnapshotRestoreChecks, TaskStateMustBeATaskState) {
+  ExpectRigRejected<SchedulerRig>([](std::vector<uint8_t>& b) {
+    ExpectTaskStates(b);
+    b[SchedulerRig::kFirstTaskAt] = static_cast<uint8_t>(TaskState::kDead) + 1;
+  });
+}
+
+// Wake() returns early for a runnable task, so a runnable task that the
+// saved run queue leaves out would never run again.
+TEST(SnapshotRestoreChecks, RunnableTaskMustBeOnTheRunQueue) {
+  ExpectRigRejected<SchedulerRig>([](std::vector<uint8_t>& b) {
+    ExpectTaskStates(b);
+    b[SchedulerRig::kFirstTaskAt] = static_cast<uint8_t>(TaskState::kRunnable);
+  });
+}
+
+// Two installed apps, neither started. The payload is an empty lifecycle
+// log (u64 0), the i64 foreground uid, no launches (u64 0), the i64 uid and
+// pid counters, the u64 app count, then per app {bool interactive, u8 state,
+// i64 oom_adj, bool frozen, u64 CPU time, u64 last foreground time}.
+struct ActivityManagerRig {
+  static constexpr size_t kFirstStateAt = kStreamHeader + 6 * 8 + 1;
+  static constexpr size_t kAppBytes = 1 + 1 + 8 + 1 + 8 + 8;
+
+  ActivityManagerRig() {
+    for (const char* package : {"a", "b"}) {
+      AppDescriptor d;
+      d.package = package;
+      am.Install(d);
+    }
+  }
+  void Transfer(SnapshotArchive& ar) { am.Transfer(ar); }
+
+  Engine engine{3};
+  MemoryManager mm{engine, MemConfig{}, nullptr};
+  Scheduler sched{engine, mm, 2};
+  Freezer freezer{engine};
+  ActivityManager am{engine, sched, mm, freezer};
+};
+
+TEST(SnapshotRestoreChecks, AppStateMustBeAnAppState) {
+  ExpectRigRejected<ActivityManagerRig>([](std::vector<uint8_t>& b) {
+    const size_t at = ActivityManagerRig::kFirstStateAt + ActivityManagerRig::kAppBytes;
+    ASSERT_EQ(b[at], static_cast<uint8_t>(AppState::kNotRunning));
+    b[at] = static_cast<uint8_t>(AppState::kCached) + 1;
   });
 }
 

@@ -55,15 +55,13 @@ TEST(MappingTable, AddProcessUpdatesScoreOnDuplicate) {
   EXPECT_EQ(e->processes[0].score, 900);
 }
 
-TEST(MappingTable, RemoveProcessAndApp) {
+TEST(MappingTable, RemoveAppDropsItsProcesses) {
   MappingTable table;
   table.AddApp(10001);
   table.AddProcess(10001, 100, 0);
   table.AddProcess(10001, 101, 0);
-  EXPECT_TRUE(table.RemoveProcess(10001, 100));
-  EXPECT_EQ(table.UidOfPid(100), kInvalidUid);
-  EXPECT_FALSE(table.RemoveProcess(10001, 100));
   EXPECT_TRUE(table.RemoveApp(10001));
+  EXPECT_EQ(table.UidOfPid(100), kInvalidUid);
   EXPECT_EQ(table.Find(10001), nullptr);
   EXPECT_FALSE(table.RemoveApp(10001));
 }

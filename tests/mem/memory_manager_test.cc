@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/base/binary_stream.h"
 #include "src/storage/flash_profiles.h"
 
 namespace ice {
@@ -165,6 +168,65 @@ TEST_F(MemoryManagerTest, ConcurrentFaultersPileOnOneRead) {
   engine_.RunFor(Ms(50));
   EXPECT_EQ(woken, 2);
   mm_.Release(space);
+}
+
+// A process killed while its flash read is in flight (an LMK kill of a
+// cached app blocked on a read) gives back the frames that read took,
+// readahead pages included, so a later snapshot still balances the frame
+// ledger and restores.
+TEST_F(MemoryManagerTest, ReleaseDuringFlashReadReturnsItsFrames) {
+  AddressSpace kept(1, 1, "kept", Layout(10, 10, 0));
+  AddressSpace killed(2, 2, "killed", Layout(0, 0, 32));
+  mm_.Register(kept);
+  mm_.Register(killed);
+  for (uint32_t vpn = 0; vpn < 20; ++vpn) {
+    mm_.Access(kept, vpn, false, nullptr);
+  }
+  for (uint32_t vpn = 0; vpn < 32; ++vpn) {
+    mm_.Access(killed, vpn, false, nullptr);
+  }
+  mm_.ReclaimAllOf(killed);
+  mm_.Access(killed, 0, false, nullptr);
+  engine_.RunFor(Ms(50));
+  // Two pages on from the last fault is sequential: the read pulls ahead.
+  bool woken = false;
+  mm_.Access(killed, 2, false, [&] { woken = true; });
+  PageCount reading = 0;
+  for (const PageInfo& p : killed.pages()) {
+    reading += p.state() == PageState::kFaultingIn ? 1 : 0;
+  }
+  ASSERT_GT(reading, 1u);
+  EXPECT_EQ(mm_.free_pages(), static_cast<int64_t>(1800 - 20 - 1 - reading));
+
+  mm_.Release(killed);
+  EXPECT_EQ(mm_.faults_in_flight(), 0u);
+  engine_.RunFor(Ms(50));
+  EXPECT_FALSE(woken);
+  EXPECT_EQ(mm_.free_pages(), 1800 - 20);
+
+  BinaryWriter w;
+  SnapshotArchive save(w);
+  mm_.Transfer(save);
+  std::vector<uint8_t> bytes = w.Finish();
+  mm_.Release(kept);
+  EXPECT_EQ(mm_.free_pages(), 1800);
+
+  // The restoring side replays the same lifecycle: two spaces registered,
+  // the second released.
+  Engine engine(1);
+  MemoryManager mm(engine, TinyConfig(), nullptr);
+  AddressSpace kept_again(1, 1, "kept", Layout(10, 10, 0));
+  AddressSpace killed_again(2, 2, "killed", Layout(0, 0, 32));
+  mm.Register(kept_again);
+  mm.Register(killed_again);
+  mm.Release(killed_again);
+  BinaryReader r(bytes);
+  SnapshotArchive load(r);
+  ASSERT_NO_THROW(mm.Transfer(load));
+  EXPECT_EQ(mm.free_pages(), 1800 - 20);
+  EXPECT_EQ(kept_again.resident(), 20u);
+  mm.Release(kept_again);
+  EXPECT_EQ(mm.free_pages(), 1800);
 }
 
 TEST_F(MemoryManagerTest, ForegroundClassification) {

@@ -170,7 +170,7 @@ void RestoreLoadProgress(PeriodicLoadBehavior& behavior, SimDuration remaining_c
   BinaryWriter w;
   w.U64(remaining_compute);
   w.U32(remaining_touches);
-  w.Bool(started);
+  w.U8(started);
   std::vector<uint8_t> buf = w.Finish();
   BinaryReader r(buf);
   SnapshotArchive load(r);

@@ -397,7 +397,7 @@ TEST_P(MappingTableFuzz, MatchesReferenceModel) {
   for (int op = 0; op < 5000; ++op) {
     Uid uid = 10000 + static_cast<Uid>(rng.Below(30));
     Pid pid = 100 + static_cast<Pid>(rng.Below(90));
-    switch (rng.Below(5)) {
+    switch (rng.Below(4)) {
       case 0:
         if (table.AddApp(uid)) {
           model.emplace(uid, std::map<Pid, int>{});
@@ -419,16 +419,11 @@ TEST_P(MappingTableFuzz, MatchesReferenceModel) {
         break;
       }
       case 2:
-        if (table.RemoveProcess(uid, pid)) {
-          model[uid].erase(pid);
-        }
-        break;
-      case 3:
         if (table.RemoveApp(uid)) {
           model.erase(uid);
         }
         break;
-      case 4: {
+      case 3: {
         Uid expected = kInvalidUid;
         for (const auto& [u, procs] : model) {
           if (procs.count(pid)) {

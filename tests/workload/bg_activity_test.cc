@@ -150,10 +150,10 @@ void RestoreTouchProgress(PeriodicTouchBehavior& behavior, bool started,
                           uint32_t remaining_touches, SimDuration remaining_cpu,
                           bool burst_open) {
   BinaryWriter w;
-  w.Bool(started);
+  w.U8(started);
   w.U32(remaining_touches);
   w.U64(remaining_cpu);
-  w.Bool(burst_open);
+  w.U8(burst_open);
   std::vector<uint8_t> buf = w.Finish();
   BinaryReader r(buf);
   SnapshotArchive load(r);
