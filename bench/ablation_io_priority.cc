@@ -13,15 +13,6 @@ using namespace ice;
 
 namespace {
 
-// LRU+CFS plus foreground-priority I/O dispatch.
-class FastTrackIoScheme : public Scheme {
- public:
-  std::string name() const override { return "FG-prio I/O"; }
-  void Install(const SystemRefs& refs) override {
-    refs.storage->set_fg_priority(true);
-  }
-};
-
 struct IoOutcome {
   ScenarioResult result;
   double fg_latency_us = 0.0;
@@ -45,10 +36,6 @@ IoOutcome RunIoCell(const std::string& scheme, uint64_t seed) {
 
 int main() {
   PrintSection("Ablation: FastTrack-style FG-priority I/O vs Ice (S-D on Pixel3/eMMC)");
-  RegisterIceScheme();
-  SchemeRegistry::Instance().Register(
-      "fasttrack_io", []() { return std::make_unique<FastTrackIoScheme>(); });
-
   int rounds = BenchRounds(3);
   std::vector<uint64_t> seeds = RoundSeeds(rounds, 61000, 104729);
   const std::vector<std::string> kSchemes = {"lru_cfs", "fasttrack_io", "ice"};

@@ -8,39 +8,11 @@
 // scheme x seed grid runs as one parallel sweep; raw cells land in
 // results/ablation_priority_vs_freeze.json.
 #include "bench/bench_util.h"
-#include "src/proc/process.h"
-#include "src/proc/task.h"
 
 using namespace ice;
 
-namespace {
-
-// The strawman: every background task at the minimum priority.
-class MaxDeprioritizeScheme : public Scheme {
- public:
-  std::string name() const override { return "Nice+19"; }
-  void Install(const SystemRefs& refs) override {
-    refs.am->AddStateListener([](App& app, AppState) {
-      int nice = app.state() == AppState::kForeground ? -10 : 19;
-      for (Process* p : app.processes()) {
-        for (Task* t : p->tasks()) {
-          t->set_nice(nice);
-        }
-      }
-    });
-  }
-};
-
-}  // namespace
-
 int main() {
   PrintSection("Ablation: priority reduction vs freezing (S-B on P20, 8 BG apps)");
-  RegisterIceScheme();
-  // Registered before the sweep spawns workers; the registry is also
-  // mutex-guarded, so the in-Experiment re-registrations are safe.
-  SchemeRegistry::Instance().Register(
-      "nice19", []() { return std::make_unique<MaxDeprioritizeScheme>(); });
-
   int rounds = BenchRounds(3);
   SweepAxes axes;
   axes.devices = {P20Profile()};

@@ -14,6 +14,7 @@
 //   $ ./icesim_cli --sweep --jobs=8 --scheme=lru_cfs,ice
 //         --scenario=s-a,s-b,s-c,s-d --seed=1,2,3 --out=grid
 //   $ ./icesim_cli --help
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,9 +28,7 @@
 #include "src/harness/fleet_report.h"
 #include "src/harness/sweep.h"
 #include "src/harness/sweep_report.h"
-#include "src/ice/daemon.h"
 #include "src/metrics/report.h"
-#include "src/policy/registry.h"
 #include "src/trace/chrome_export.h"
 #include "src/trace/summary.h"
 
@@ -67,7 +66,8 @@ void PrintHelp() {
   std::printf(
       "icesim — ICE reproduction simulator\n\n"
       "  --device=p20|pixel3      device profile (default p20)\n"
-      "  --scheme=NAME            lru_cfs | ucsg | acclaim | power | ice\n"
+      "  --scheme=NAME            lru_cfs | ucsg | acclaim | power | ice, or an\n"
+      "                           ablation strawman: nice19 | fasttrack_io\n"
       "  --aging=NAME             page aging policy: two_list (classic LRU,\n"
       "                           default) | gen_clock (MGLRU-style generation\n"
       "                           clock); a comma-list sweep axis in sweep mode\n"
@@ -176,14 +176,14 @@ void CheckSwapName(const std::string& name) {
   }
 }
 
-// Validates scheme names against the registry, exiting like the other name
-// parsers and listing the known schemes.
+// Validates scheme names against the scheme table, exiting like the other
+// name parsers and listing the known schemes.
 void CheckSchemeNames(const std::vector<std::string>& schemes) {
-  RegisterIceScheme();
+  const std::vector<std::string> known = SchemeNames();
   for (const std::string& s : schemes) {
-    if (!SchemeRegistry::Instance().Contains(s)) {
+    if (std::find(known.begin(), known.end(), s) == known.end()) {
       std::fprintf(stderr, "unknown scheme '%s' (known:", s.c_str());
-      for (const std::string& k : SchemeRegistry::Instance().Keys()) {
+      for (const std::string& k : known) {
         std::fprintf(stderr, " %s", k.c_str());
       }
       std::fprintf(stderr, ")\n");
@@ -245,7 +245,7 @@ int RunSweep(const CliOptions& opts) {
   int failures = 0;
   for (size_t i = 0; i < cells.size(); ++i) {
     const SweepCell& cell = cells[i];
-    int bg = cell.bg_apps >= 0 ? cell.bg_apps : cell.config.device.full_pressure_bg_apps;
+    int bg = SweepRunner::NormalizedBg(cell);
     if (!outcomes[i].ok) {
       ++failures;
       table.AddRow({cell.config.device.name, cell.config.scheme,

@@ -40,7 +40,7 @@ void Choreographer::OnVsync() {
   }
   if (render->pending() >= kMaxPipelineDepth) {
     // Pipeline saturated: this vsync produces no frame.
-    stats_.RecordDropped(engine.now());
+    stats_.RecordDropped();
     ICE_TRACE(engine, TraceEventType::kFrameDeadlineMiss,
               {.uid = fg->uid(), .flags = kTraceFlagDropped, .arg0 = frame_seq_});
     return;

@@ -4,9 +4,13 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/base/binary_stream.h"
 #include "src/base/log.h"
+#include "src/policy/acclaim.h"
+#include "src/policy/power_manager.h"
+#include "src/policy/ucsg.h"
 #include "src/workload/bg_activity.h"
 
 namespace ice {
@@ -39,14 +43,54 @@ std::string StripSeedToken(const std::string& fp) {
   size_t end = fp.find(' ', pos + 1);
   return fp.substr(0, pos) + (end == std::string::npos ? "" : fp.substr(end));
 }
+
+// Only ICE takes parameters; the other schemes are default-built.
+template <class S>
+std::unique_ptr<Scheme> Make([[maybe_unused]] const IceConfig& ice) {
+  if constexpr (std::is_same_v<S, IceDaemon>) {
+    return std::make_unique<IceDaemon>(ice);
+  } else {
+    return std::make_unique<S>();
+  }
+}
+
+// Every scheme an experiment can run, by ExperimentConfig::scheme name.
+constexpr struct {
+  const char* name;
+  std::unique_ptr<Scheme> (*make)(const IceConfig& ice);
+} kSchemes[] = {
+    {"lru_cfs", Make<LruCfsScheme>},
+    {"ucsg", Make<UcsgScheme>},
+    {"acclaim", Make<AcclaimScheme>},
+    {"power", Make<PowerManagerScheme>},
+    {"ice", Make<IceDaemon>},
+    {"nice19", Make<MaxDeprioritizeScheme>},
+    {"fasttrack_io", Make<FastTrackIoScheme>},
+};
 }  // namespace
+
+std::unique_ptr<Scheme> MakeScheme(const std::string& name, const IceConfig& ice) {
+  for (const auto& entry : kSchemes) {
+    if (name == entry.name) {
+      return entry.make(ice);
+    }
+  }
+  return nullptr;
+}
+
+std::vector<std::string> SchemeNames() {
+  std::vector<std::string> names;
+  for (const auto& entry : kSchemes) {
+    names.push_back(entry.name);
+  }
+  return names;
+}
 
 Experiment::Experiment(const ExperimentConfig& config) : Experiment(config, nullptr) {}
 
 Experiment::Experiment(const ExperimentConfig& config,
                        const std::vector<uint8_t>* snapshot, bool verify_checksum)
     : config_(config) {
-  RegisterIceScheme();
   config_.tuning.footprint_scale *= config_.device.footprint_scale;
   if (config_.ice.hwm_mib == 0) {
     // Table 4: H_wm for Eq. 1 comes from the device configuration.
@@ -103,12 +147,8 @@ Experiment::Experiment(const ExperimentConfig& config,
   });
 
   // Install the policy.
-  if (config_.scheme == "ice") {
-    auto daemon = std::make_unique<IceDaemon>(config_.ice);
-    scheme_ = std::move(daemon);
-  } else {
-    scheme_ = MakeScheme(config_.scheme);
-  }
+  scheme_ = MakeScheme(config_.scheme, config_.ice);
+  ICE_CHECK(scheme_ != nullptr) << "unknown scheme '" << config_.scheme << "'";
   SystemRefs refs;
   refs.engine = engine_.get();
   refs.mm = mm_.get();

@@ -18,7 +18,7 @@
 #include "src/ice/daemon.h"
 #include "src/mem/memory_manager.h"
 #include "src/metrics/frame_stats.h"
-#include "src/policy/registry.h"
+#include "src/policy/scheme.h"
 #include "src/proc/freezer.h"
 #include "src/proc/lmk.h"
 #include "src/proc/scheduler.h"
@@ -37,7 +37,9 @@ class SnapshotArchive;
 struct ExperimentConfig {
   DeviceProfile device;
   uint64_t seed = 42;
-  // "lru_cfs", "ucsg", "acclaim", "power", "ice".
+  // One of SchemeNames(): "lru_cfs", "ucsg", "acclaim", "power", "ice",
+  // "nice19" (§4.3 priority-reduction strawman), "fasttrack_io"
+  // (FG-priority I/O).
   std::string scheme = "lru_cfs";
   // Page aging policy: "two_list" (classic active/inactive LRU) or
   // "gen_clock" (MGLRU-style generation clock). A sweepable axis, orthogonal
@@ -94,6 +96,12 @@ struct ScenarioResult {
   // Filled from the experiment's tracer when tracing is enabled.
   TraceSummary trace;
 };
+
+// The fixed scheme table: builds the scheme named `name` (ICE from `ice`), or
+// returns null for a name outside the table.
+std::unique_ptr<Scheme> MakeScheme(const std::string& name, const IceConfig& ice);
+// The names MakeScheme accepts, in table order.
+std::vector<std::string> SchemeNames();
 
 // Deterministic digest of every ExperimentConfig field that shapes
 // simulation state. Equal digests on raw configs imply the two runs evolve

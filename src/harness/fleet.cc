@@ -41,8 +41,13 @@ FleetRunner::FleetRunner(const FleetConfig& config) : config_(config) {
     ICE_CHECK(IsFleetTier(tier)) << "unknown fleet tier: " << tier;
   }
   ICE_CHECK(!config_.schemes.empty());
-  // Both policy axes fail here, before any worker starts, not inside the
-  // first device's Experiment.
+  // Scheme names and both policy axes fail here, before any worker starts,
+  // not inside the first device's Experiment.
+  const std::vector<std::string> known = SchemeNames();
+  for (const std::string& scheme : config_.schemes) {
+    ICE_CHECK(std::find(known.begin(), known.end(), scheme) != known.end())
+        << "unknown scheme: " << scheme;
+  }
   AgingPolicy aging{};
   ICE_CHECK(AgingPolicyFromName(config_.aging, &aging))
       << "unknown aging policy: " << config_.aging;

@@ -13,7 +13,6 @@ namespace {
 void AppendCell(std::ostringstream& out, const SweepCell& cell,
                 const CellOutcome& outcome) {
   const ExperimentConfig& c = cell.config;
-  int bg = cell.bg_apps >= 0 ? cell.bg_apps : c.device.full_pressure_bg_apps;
   out << "    {\"device\": \"" << JsonEscape(c.device.name) << "\""
       << ", \"scheme\": \"" << JsonEscape(c.scheme) << "\"";
   // Emitted only off the default so pre-existing reports stay byte-identical.
@@ -24,7 +23,7 @@ void AppendCell(std::ostringstream& out, const SweepCell& cell,
     out << ", \"swap\": \"" << JsonEscape(c.swap) << "\"";
   }
   out << ", \"scenario\": \"" << ScenarioLabel(cell.scenario) << "\""
-      << ", \"bg_apps\": " << bg << ", \"seed\": " << c.seed
+      << ", \"bg_apps\": " << SweepRunner::NormalizedBg(cell) << ", \"seed\": " << c.seed
       << ", \"duration_s\": " << JsonNum(ToSeconds(cell.duration))
       << ", \"warmup_s\": " << JsonNum(ToSeconds(cell.warmup))
       << ", \"ok\": " << (outcome.ok ? "true" : "false");

@@ -90,9 +90,4 @@ void IceDaemon::Transfer(SnapshotArchive& ar) {
   mdt_->Transfer(ar);
 }
 
-void RegisterIceScheme() {
-  SchemeRegistry::Instance().Register("ice",
-                                      []() { return std::make_unique<IceDaemon>(); });
-}
-
 }  // namespace ice

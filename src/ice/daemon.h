@@ -16,14 +16,12 @@
 #include "src/ice/predictor.h"
 #include "src/ice/rpf.h"
 #include "src/ice/whitelist.h"
-#include "src/policy/registry.h"
 #include "src/policy/scheme.h"
 
 namespace ice {
 
 class IceDaemon : public Scheme {
  public:
-  IceDaemon() = default;
   explicit IceDaemon(const IceConfig& config) : config_(config) {}
   ~IceDaemon() override;
 
@@ -55,10 +53,6 @@ class IceDaemon : public Scheme {
   Uid last_foreground_ = kInvalidUid;
   bool installed_ = false;
 };
-
-// Registers the "ice" key with the scheme registry. Safe to call multiple
-// times. Called by the experiment harness at startup.
-void RegisterIceScheme();
 
 }  // namespace ice
 

@@ -16,14 +16,8 @@ void FrameStats::RecordFrame(SimTime enqueue_time, SimTime complete_time) {
   }
 }
 
-void FrameStats::RecordDropped(SimTime vsync_time) {
-  dropped_times_.push_back(vsync_time);
-  ++dropped_;
-}
-
 void FrameStats::Clear() {
   completions_.clear();
-  dropped_times_.clear();
   dropped_ = 0;
   late_ = 0;
   latency_us_.Clear();

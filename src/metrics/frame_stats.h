@@ -22,7 +22,7 @@ class FrameStats {
 
   void RecordFrame(SimTime enqueue_time, SimTime complete_time);
   // A vsync for which no frame could be issued (pipeline backed up).
-  void RecordDropped(SimTime vsync_time);
+  void RecordDropped() { ++dropped_; }
 
   void Clear();
 
@@ -48,7 +48,6 @@ class FrameStats {
     SimTime complete;
   };
   std::vector<Completion> completions_;
-  std::vector<SimTime> dropped_times_;
   uint64_t dropped_ = 0;
   uint64_t late_ = 0;
   Histogram latency_us_;

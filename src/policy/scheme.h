@@ -1,6 +1,7 @@
 // Scheme: a pluggable memory/process-management policy. The four evaluated
 // schemes (§5.2) are LRU+CFS (baseline, no-op), UCSG, Acclaim, and Ice; the
-// power-manager freezer of §6.2.1 is a fifth.
+// power-manager freezer of §6.2.1 is a fifth. Two ablation strawmen below
+// complete the set src/harness builds by name (MakeScheme).
 //
 // A scheme is installed once onto a built system and wires itself into the
 // relevant hooks: scheduler nice values (UCSG), reclaim victim filter
@@ -55,6 +56,22 @@ class Scheme {
 class LruCfsScheme : public Scheme {
  public:
   std::string name() const override { return "LRU+CFS"; }
+  void Install(const SystemRefs& refs) override;
+};
+
+// The §4.3 strawman: every background task at the lowest priority (nice
+// +19), the foreground app's tasks boosted as under UCSG.
+class MaxDeprioritizeScheme : public Scheme {
+ public:
+  std::string name() const override { return "Nice+19"; }
+  void Install(const SystemRefs& refs) override;
+};
+
+// LRU+CFS plus FastTrack-style foreground-priority I/O dispatch (Hahn et
+// al., ATC'18) at the block layer.
+class FastTrackIoScheme : public Scheme {
+ public:
+  std::string name() const override { return "FG-prio I/O"; }
   void Install(const SystemRefs& refs) override;
 };
 

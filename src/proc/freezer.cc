@@ -13,7 +13,6 @@ void Freezer::FreezeApp(App& app) {
     return;
   }
   app.set_frozen(true);
-  ++freeze_count_;
   engine_.stats().Increment(stat::kFreezes);
   ICE_TRACE(engine_, TraceEventType::kFreeze, {.uid = app.uid()});
   for (Process* process : app.processes()) {
@@ -28,7 +27,6 @@ void Freezer::ThawApp(App& app) {
     return;
   }
   app.set_frozen(false);
-  ++thaw_count_;
   engine_.stats().Increment(stat::kThaws);
   ICE_TRACE(engine_, TraceEventType::kThaw, {.uid = app.uid()});
   for (Process* process : app.processes()) {
@@ -39,8 +37,8 @@ void Freezer::ThawApp(App& app) {
 }
 
 void Freezer::Transfer(SnapshotArchive& ar) {
-  ar.U64(freeze_count_);
-  ar.U64(thaw_count_);
+  ar.Expect<uint64_t>(engine_.stats().Get(stat::kFreezes), "freezer freeze count");
+  ar.Expect<uint64_t>(engine_.stats().Get(stat::kThaws), "freezer thaw count");
 }
 
 }  // namespace ice

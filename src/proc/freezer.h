@@ -4,8 +4,6 @@
 #ifndef SRC_PROC_FREEZER_H_
 #define SRC_PROC_FREEZER_H_
 
-#include <cstdint>
-
 #include "src/proc/app.h"
 #include "src/sim/engine.h"
 
@@ -25,16 +23,13 @@ class Freezer {
   // Thaws every task; they become runnable and re-evaluate their work.
   void ThawApp(App& app);
 
-  uint64_t freeze_count() const { return freeze_count_; }
-  uint64_t thaw_count() const { return thaw_count_; }
-
-  // Snapshot support (counters only; per-task freeze state lives in Task).
+  // Snapshot support (per-task freeze state lives in Task). The section
+  // keeps the stat::kFreezes and stat::kThaws counts, which restore checks
+  // against the engine's restored counters.
   void Transfer(SnapshotArchive& ar);
 
  private:
   Engine& engine_;
-  uint64_t freeze_count_ = 0;
-  uint64_t thaw_count_ = 0;
 };
 
 }  // namespace ice

@@ -63,7 +63,6 @@ bool Lmk::KillOne() {
   }
   last_kill_time_ = now;
   ever_killed_ = true;
-  ++kills_;
   engine_.stats().Increment(stat::kLmkKills);
   return true;
 }
@@ -73,7 +72,7 @@ void Lmk::Transfer(SnapshotArchive& ar) {
   ar.F64(refault_rate_ewma_);
   ar.U64(last_kill_time_);
   ar.Bool(ever_killed_);
-  ar.U64(kills_);
+  ar.Expect<uint64_t>(engine_.stats().Get(stat::kLmkKills), "lmk kill count");
   ar.U64(next_check_);
 }
 

@@ -38,8 +38,6 @@ class Lmk : public Ticker {
   // be skipped.
   SimTime NextWorkAt(SimTime now) override { return next_check_ > now ? next_check_ : now; }
 
-  uint64_t kills() const { return kills_; }
-
   // lmkd minfree analog: cached apps die when MemAvailable falls below this
   // (0 disables; the experiment harness sets the device's ladder value for
   // fully-cached adj levels, ~110 MB).
@@ -51,6 +49,8 @@ class Lmk : public Ticker {
   void set_psi_refaults_per_sec(double rate) { psi_threshold_ = rate; }
 
   // Snapshot support (thresholds are reconfigured by the harness, not saved).
+  // The section keeps the stat::kLmkKills count, which restore checks
+  // against the engine's restored counter.
   void Transfer(SnapshotArchive& ar);
 
  private:
@@ -65,7 +65,6 @@ class Lmk : public Ticker {
   double refault_rate_ewma_ = 0.0;
   SimTime last_kill_time_ = 0;
   bool ever_killed_ = false;
-  uint64_t kills_ = 0;
 
   static constexpr SimDuration kMinKillInterval = Ms(500);
   static constexpr SimDuration kCheckPeriod = Ms(100);

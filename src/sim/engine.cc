@@ -97,27 +97,15 @@ void Engine::ResetForRecycle() {
 
 void Engine::AddTicker(Ticker* ticker) {
   ICE_CHECK(ticker != nullptr);
-  if (in_tick_) {
-    pending_tickers_.push_back(ticker);
-  } else {
-    tickers_.push_back(ticker);
-  }
+  ICE_CHECK(!in_tick_) << "ticker added during a tick";
+  tickers_.push_back(ticker);
 }
 
 void Engine::RemoveTicker(Ticker* ticker) {
+  ICE_CHECK(!in_tick_) << "ticker removed during a tick";
   auto it = std::find(tickers_.begin(), tickers_.end(), ticker);
   if (it != tickers_.end()) {
-    if (in_tick_) {
-      *it = nullptr;  // Compacted after the iteration completes.
-      tickers_dirty_ = true;
-    } else {
-      tickers_.erase(it);
-    }
-    return;
-  }
-  auto pit = std::find(pending_tickers_.begin(), pending_tickers_.end(), ticker);
-  if (pit != pending_tickers_.end()) {
-    pending_tickers_.erase(pit);
+    tickers_.erase(it);
   }
 }
 
@@ -126,20 +114,9 @@ void Engine::RunOneTick() {
 
   in_tick_ = true;
   for (Ticker* t : tickers_) {
-    if (t != nullptr) {
-      t->Tick(now_);
-    }
+    t->Tick(now_);
   }
   in_tick_ = false;
-
-  if (tickers_dirty_) {
-    tickers_.erase(std::remove(tickers_.begin(), tickers_.end(), nullptr), tickers_.end());
-    tickers_dirty_ = false;
-  }
-  if (!pending_tickers_.empty()) {
-    tickers_.insert(tickers_.end(), pending_tickers_.begin(), pending_tickers_.end());
-    pending_tickers_.clear();
-  }
 
   now_ += kTick;
   ++ticks_;

@@ -125,8 +125,8 @@ class Engine {
   // components that own them persist across a recycle.
   void ResetForRecycle();
 
-  // Tickers are called in registration order. Registration during a tick
-  // takes effect from the next tick.
+  // Tickers are called in registration order. Adding or removing one
+  // during a tick aborts: the tick loop iterates the list.
   void AddTicker(Ticker* ticker);
   void RemoveTicker(Ticker* ticker);
 
@@ -153,9 +153,7 @@ class Engine {
   StatsRegistry stats_;
   EventQueue events_;
   std::vector<Ticker*> tickers_;
-  std::vector<Ticker*> pending_tickers_;
   bool in_tick_ = false;
-  bool tickers_dirty_ = false;  // A removal happened during iteration.
 };
 
 }  // namespace ice

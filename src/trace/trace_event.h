@@ -17,30 +17,59 @@
 
 namespace ice {
 
+// The one list of event types, X(enumerator, name) per type in wire order:
+// it declares TraceEventType, the stable lower_snake_case names
+// TraceEventTypeName returns and kTraceEventTypeCount. The comment above each
+// entry gives the type's fields.
+#define ICE_TRACE_EVENT_TYPES(X)                                                    \
+  /* flags: direct; arg0 = target pages. */                                         \
+  X(kReclaimBegin, "reclaim_begin")                                                 \
+  /* flags: direct; arg0 = reclaimed, arg1 = scanned. */                            \
+  X(kReclaimEnd, "reclaim_end")                                                     \
+  /* uid = owner; flags: anon|direct; arg0 = vpn. */                                \
+  X(kPageEvict, "page_evict")                                                       \
+  /* pid/uid; flags: foreground|anon; arg0 = vpn. */                                \
+  X(kRefault, "refault")                                                            \
+  /* uid = owner; arg0 = compressed bytes. */                                       \
+  X(kZramCompress, "zram_compress")                                                 \
+  /* pid/uid; arg0 = compressed bytes freed. */                                     \
+  X(kZramDecompress, "zram_decompress")                                             \
+  /* pid; flags: foreground|write; arg0 = pages, arg1 = bio id. */                  \
+  X(kBioSubmit, "bio_submit")                                                       \
+  /* flags: foreground|write; arg0 = latency us, arg1 = bio id. */                  \
+  X(kBioComplete, "bio_complete")                                                   \
+  /* core; pid; arg0 = task trace id (0 = idle). */                                 \
+  X(kSchedSwitch, "sched_switch")                                                   \
+  /* uid. */                                                                        \
+  X(kFreeze, "freeze")                                                              \
+  /* uid. */                                                                        \
+  X(kThaw, "thaw")                                                                  \
+  /* pid/uid of the refaulting BG app RPF froze. */                                 \
+  X(kRpfTrigger, "rpf_trigger")                                                     \
+  /* arg0 = freeze duration E_f us, arg1 = epoch number. */                         \
+  X(kMdtEpoch, "mdt_epoch")                                                         \
+  /* uid = fg app; arg0 = frame sequence number. */                                 \
+  X(kFrameBegin, "frame_begin")                                                     \
+  /* arg0 = frame sequence, arg1 = latency us. */                                   \
+  X(kFrameEnd, "frame_end")                                                         \
+  /* flags: dropped (vsync with no frame issued);                                   \
+     arg0 = frame sequence, arg1 = latency us (0 if dropped). */                    \
+  X(kFrameDeadlineMiss, "frame_deadline_miss")                                      \
+  /* uid = owner; flags: hot (admission gate) or none                               \
+     (pool full); arg0 = vpn. */                                                    \
+  X(kZramReject, "zram_reject")                                                     \
+  /* arg0 = pages drained from zram to flash. */                                    \
+  X(kZramWriteback, "zram_writeback")
+
 enum class TraceEventType : uint8_t {
-  kReclaimBegin = 0,    // flags: direct; arg0 = target pages.
-  kReclaimEnd,          // flags: direct; arg0 = reclaimed, arg1 = scanned.
-  kPageEvict,           // uid = owner; flags: anon|direct; arg0 = vpn.
-  kRefault,             // pid/uid; flags: foreground|anon; arg0 = vpn.
-  kZramCompress,        // uid = owner; arg0 = compressed bytes.
-  kZramDecompress,      // pid/uid; arg0 = compressed bytes freed.
-  kBioSubmit,           // pid; flags: foreground|write; arg0 = pages, arg1 = bio id.
-  kBioComplete,         // flags: foreground|write; arg0 = latency us, arg1 = bio id.
-  kSchedSwitch,         // core; pid; arg0 = task trace id (0 = idle).
-  kFreeze,              // uid.
-  kThaw,                // uid.
-  kRpfTrigger,          // pid/uid of the refaulting BG app RPF froze.
-  kMdtEpoch,            // arg0 = freeze duration E_f us, arg1 = epoch number.
-  kFrameBegin,          // uid = fg app; arg0 = frame sequence number.
-  kFrameEnd,            // arg0 = frame sequence, arg1 = latency us.
-  kFrameDeadlineMiss,   // flags: dropped (vsync with no frame issued);
-                        // arg0 = frame sequence, arg1 = latency us (0 if dropped).
-  kZramReject,          // uid = owner; flags: hot (admission gate) or none
-                        // (pool full); arg0 = vpn.
-  kZramWriteback,       // arg0 = pages drained from zram to flash.
+#define ICE_TRACE_EVENT_ENUMERATOR(id, name) id,
+  ICE_TRACE_EVENT_TYPES(ICE_TRACE_EVENT_ENUMERATOR)
+#undef ICE_TRACE_EVENT_ENUMERATOR
 };
 
-inline constexpr size_t kTraceEventTypeCount = 18;
+#define ICE_TRACE_EVENT_ONE(id, name) +1
+inline constexpr size_t kTraceEventTypeCount = 0 ICE_TRACE_EVENT_TYPES(ICE_TRACE_EVENT_ONE);
+#undef ICE_TRACE_EVENT_ONE
 
 // Event flag bits. Meaning is per-type (documented above) but bits are
 // globally unique so exporters can decode without a type switch.

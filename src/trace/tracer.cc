@@ -38,45 +38,11 @@ void Tracer::Transfer(SnapshotArchive& ar) {
 }
 
 const char* TraceEventTypeName(TraceEventType type) {
-  switch (type) {
-    case TraceEventType::kReclaimBegin:
-      return "reclaim_begin";
-    case TraceEventType::kReclaimEnd:
-      return "reclaim_end";
-    case TraceEventType::kPageEvict:
-      return "page_evict";
-    case TraceEventType::kRefault:
-      return "refault";
-    case TraceEventType::kZramCompress:
-      return "zram_compress";
-    case TraceEventType::kZramDecompress:
-      return "zram_decompress";
-    case TraceEventType::kBioSubmit:
-      return "bio_submit";
-    case TraceEventType::kBioComplete:
-      return "bio_complete";
-    case TraceEventType::kSchedSwitch:
-      return "sched_switch";
-    case TraceEventType::kFreeze:
-      return "freeze";
-    case TraceEventType::kThaw:
-      return "thaw";
-    case TraceEventType::kRpfTrigger:
-      return "rpf_trigger";
-    case TraceEventType::kMdtEpoch:
-      return "mdt_epoch";
-    case TraceEventType::kFrameBegin:
-      return "frame_begin";
-    case TraceEventType::kFrameEnd:
-      return "frame_end";
-    case TraceEventType::kFrameDeadlineMiss:
-      return "frame_deadline_miss";
-    case TraceEventType::kZramReject:
-      return "zram_reject";
-    case TraceEventType::kZramWriteback:
-      return "zram_writeback";
-  }
-  return "unknown";
+#define ICE_TRACE_EVENT_NAME(id, name) name,
+  static constexpr const char* kNames[] = {ICE_TRACE_EVENT_TYPES(ICE_TRACE_EVENT_NAME)};
+#undef ICE_TRACE_EVENT_NAME
+  size_t i = static_cast<size_t>(type);
+  return i < kTraceEventTypeCount ? kNames[i] : "unknown";
 }
 
 const std::string& Tracer::TaskName(uint64_t trace_id) const {

@@ -125,7 +125,7 @@ TEST(FrameStats, RiaCountsOnlyLateCompleted) {
   FrameStats stats;
   stats.RecordFrame(0, Ms(10));            // On time.
   stats.RecordFrame(Ms(20), Ms(40));       // Late (20 ms).
-  stats.RecordDropped(Ms(50));             // Dropped: not in RIA.
+  stats.RecordDropped();                   // Dropped: not in RIA.
   EXPECT_DOUBLE_EQ(stats.Ria(), 0.5);
   EXPECT_EQ(stats.frames_dropped(), 1u);
 }

@@ -58,8 +58,12 @@ TEST(FleetRunnerTest, DefaultTiersAndAutoChunkResolve) {
   EXPECT_EQ(FleetRunner(tiny).chunk_size(), 1u);
 }
 
-// Both policy axes are rejected up front, not inside a worker's first device.
+// Scheme names and both policy axes are rejected up front, not inside a
+// worker's first device.
 TEST(FleetRunnerDeathTest, UnknownPolicyNamesFailAtConstruction) {
+  FleetConfig bad_scheme = SmokeConfig();
+  bad_scheme.schemes = {"lru_cfs", "nope"};
+  EXPECT_DEATH(FleetRunner{bad_scheme}, "unknown scheme: nope");
   FleetConfig bad_aging = SmokeConfig();
   bad_aging.aging = "lru_k";
   EXPECT_DEATH(FleetRunner{bad_aging}, "unknown aging policy: lru_k");

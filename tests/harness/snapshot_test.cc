@@ -891,5 +891,49 @@ TEST(SnapshotRestoreChecks, AppStateMustBeAnAppState) {
   });
 }
 
+// One app frozen twice and thawed once. The payload is the u64 freeze count,
+// then the u64 thaw count; restore compares them with the rig engine's
+// stat:: counters, which the same calls set.
+struct FreezerRig : ActivityManagerRig {
+  FreezerRig() {
+    App& app = *am.apps().front();
+    freezer.FreezeApp(app);
+    freezer.ThawApp(app);
+    freezer.FreezeApp(app);
+  }
+  void Transfer(SnapshotArchive& ar) { freezer.Transfer(ar); }
+};
+
+TEST(SnapshotRestoreChecks, FreezerCountsMustMatchTheEngineCounters) {
+  for (size_t at : {kStreamHeader, kStreamHeader + 8}) {
+    ExpectRigRejected<FreezerRig>([at](std::vector<uint8_t>& b) {
+      ASSERT_EQ(GetU64(b, kStreamHeader), 2u);
+      ASSERT_EQ(GetU64(b, kStreamHeader + 8), 1u);
+      PutU64(b, at, GetU64(b, at) + 1);
+    });
+  }
+}
+
+// The engine counts two kills. The payload is the u64 last refault count,
+// the f64 refault rate, the u64 last kill time, a bool, the u64 kill count
+// and the u64 next check time.
+struct LmkRig {
+  static constexpr size_t kKillsAt = kStreamHeader + 3 * 8 + 1;
+
+  LmkRig() { engine.stats().Add(stat::kLmkKills, 2); }
+  void Transfer(SnapshotArchive& ar) { lmk.Transfer(ar); }
+
+  Engine engine{3};
+  MemoryManager mm{engine, MemConfig{}, nullptr};
+  Lmk lmk{engine, mm};
+};
+
+TEST(SnapshotRestoreChecks, LmkKillCountMustMatchTheEngineCounter) {
+  ExpectRigRejected<LmkRig>([](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU64(b, LmkRig::kKillsAt), 2u);
+    PutU64(b, LmkRig::kKillsAt, GetU64(b, LmkRig::kKillsAt) + 1);
+  });
+}
+
 }  // namespace
 }  // namespace ice

@@ -60,9 +60,9 @@ TEST(MdtHeartbeat, FrozenAppsThawPeriodicallyAndRefreeze) {
 
   // Over a few epochs the app must be thawed (gets a chance to run) and
   // frozen again.
-  uint64_t thaws_before = exp.freezer().thaw_count();
+  uint64_t thaws_before = exp.engine().stats().Get(stat::kThaws);
   exp.engine().RunFor(Sec(60));
-  EXPECT_GT(exp.freezer().thaw_count(), thaws_before);
+  EXPECT_GT(exp.engine().stats().Get(stat::kThaws), thaws_before);
   EXPECT_GT(daemon->mdt().epochs(), 1u);
   // App ran during thaw periods:
   EXPECT_GT(app->cpu_time_us, 0u);

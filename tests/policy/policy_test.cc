@@ -1,26 +1,59 @@
-// Baseline policy behaviors: UCSG renicing, Acclaim's FAE, the power
-// manager's power-oriented freezing, and the scheme registry.
+// Baseline policy behaviors: UCSG renicing, the nice +19 strawman, Acclaim's
+// FAE, the power manager's power-oriented freezing, and the scheme table.
 #include <gtest/gtest.h>
+
+#include <utility>
 
 #include "src/harness/experiment.h"
 #include "src/policy/power_manager.h"
-#include "src/policy/registry.h"
 #include "src/policy/ucsg.h"
 #include "src/proc/task.h"
 
 namespace ice {
 namespace {
 
-TEST(Registry, KnowsAllSchemes) {
-  RegisterIceScheme();
-  auto& registry = SchemeRegistry::Instance();
-  for (const char* key : {"lru_cfs", "ucsg", "acclaim", "power", "ice"}) {
-    EXPECT_TRUE(registry.Contains(key)) << key;
-    auto scheme = registry.Create(key);
-    ASSERT_NE(scheme, nullptr);
-    EXPECT_FALSE(scheme->name().empty());
+TEST(SchemeTable, BuildsEverySchemeByName) {
+  const std::vector<std::pair<std::string, std::string>> kSchemes = {
+      {"lru_cfs", "LRU+CFS"}, {"ucsg", "UCSG"}, {"acclaim", "Acclaim"},
+      {"power", "PowerMgr"}, {"ice", "Ice"}, {"nice19", "Nice+19"},
+      {"fasttrack_io", "FG-prio I/O"}};
+  std::vector<std::string> names;
+  for (const auto& [name, display_name] : kSchemes) {
+    names.push_back(name);
+    ExperimentConfig config;
+    config.seed = 3;
+    config.scheme = name;
+    Experiment exp(config);
+    EXPECT_EQ(exp.scheme().name(), display_name) << name;
   }
-  EXPECT_FALSE(registry.Contains("nope"));
+  EXPECT_EQ(SchemeNames(), names);
+  EXPECT_EQ(MakeScheme("nope", IceConfig{}), nullptr);
+}
+
+TEST(SchemeTableDeathTest, UnknownSchemeFailsExperimentConstruction) {
+  ExperimentConfig config;
+  config.scheme = "nope";
+  EXPECT_DEATH(Experiment{config}, "unknown scheme 'nope'");
+}
+
+TEST(MaxDeprioritize, BackgroundTasksAtNice19) {
+  ExperimentConfig config;
+  config.seed = 3;
+  config.scheme = "nice19";
+  Experiment exp(config);
+  Uid a = exp.UidOf("Twitter");
+  Uid b = exp.UidOf("Amazon");
+  exp.am().Launch(a);
+  exp.AwaitInteractive(a);
+  exp.am().Launch(b);
+  exp.AwaitInteractive(b);
+  for (auto [uid, nice] : {std::pair{b, -10}, std::pair{a, 19}}) {
+    for (Process* p : exp.am().FindApp(uid)->processes()) {
+      for (Task* t : p->tasks()) {
+        EXPECT_EQ(t->nice(), nice);
+      }
+    }
+  }
 }
 
 TEST(Ucsg, ForegroundTasksBoostedBackgroundDemoted) {

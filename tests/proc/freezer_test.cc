@@ -57,7 +57,6 @@ TEST_F(FreezerTest, FreezesEveryTaskOfEveryProcess) {
   EXPECT_TRUE(t1_->frozen());
   EXPECT_TRUE(t2_->frozen());
   EXPECT_TRUE(t3_->frozen());
-  EXPECT_EQ(freezer_.freeze_count(), 1u);
   EXPECT_EQ(engine_.stats().Get(stat::kFreezes), 1u);
 }
 
@@ -74,7 +73,7 @@ TEST_F(FreezerTest, ThawRestoresExecution) {
   freezer_.FreezeApp(app_);
   freezer_.ThawApp(app_);
   EXPECT_FALSE(app_.frozen());
-  EXPECT_EQ(freezer_.thaw_count(), 1u);
+  EXPECT_EQ(engine_.stats().Get(stat::kThaws), 1u);
   engine_.RunFor(Ms(5));
   EXPECT_GT(app_.cpu_time_us, 0u);
 }
@@ -82,17 +81,17 @@ TEST_F(FreezerTest, ThawRestoresExecution) {
 TEST_F(FreezerTest, FreezeIsIdempotent) {
   freezer_.FreezeApp(app_);
   freezer_.FreezeApp(app_);
-  EXPECT_EQ(freezer_.freeze_count(), 1u);
+  EXPECT_EQ(engine_.stats().Get(stat::kFreezes), 1u);
   freezer_.ThawApp(app_);
   freezer_.ThawApp(app_);
-  EXPECT_EQ(freezer_.thaw_count(), 1u);
+  EXPECT_EQ(engine_.stats().Get(stat::kThaws), 1u);
 }
 
 TEST_F(FreezerTest, RefreezeAfterThawCounts) {
   freezer_.FreezeApp(app_);
   freezer_.ThawApp(app_);
   freezer_.FreezeApp(app_);
-  EXPECT_EQ(freezer_.freeze_count(), 2u);
+  EXPECT_EQ(engine_.stats().Get(stat::kFreezes), 2u);
   EXPECT_TRUE(app_.frozen());
 }
 

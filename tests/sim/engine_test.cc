@@ -71,48 +71,33 @@ TEST(Engine, CancelWorks) {
   EXPECT_FALSE(fired);
 }
 
-TEST(Engine, TickerAddedDuringTickStartsNextTick) {
-  Engine engine(1);
-  CountingTicker inner;
-  class Adder : public Ticker {
+// The tick loop iterates the ticker list, so editing it from inside a tick
+// aborts instead of being deferred.
+TEST(EngineDeathTest, TickerEditDuringTickAborts) {
+  class Editor : public Ticker {
    public:
-    Adder(Engine& e, CountingTicker& t) : engine_(e), ticker_(t) {}
+    Editor(Engine& e, bool add) : engine_(e), add_(add) {}
     void Tick(SimTime) override {
-      if (!added_) {
-        added_ = true;
-        engine_.AddTicker(&ticker_);
+      if (add_) {
+        engine_.AddTicker(&other_);
+      } else {
+        engine_.RemoveTicker(this);
       }
     }
     Engine& engine_;
-    CountingTicker& ticker_;
-    bool added_ = false;
-  } adder(engine, inner);
-  engine.AddTicker(&adder);
-  engine.RunFor(Ms(3));
-  EXPECT_EQ(inner.ticks, 2);  // Missed the tick it was added in.
-  engine.RemoveTicker(&adder);
-  engine.RemoveTicker(&inner);
-}
-
-TEST(Engine, RemoveTickerDuringTickIsSafe) {
-  Engine engine(1);
-  CountingTicker other;
-  class SelfRemover : public Ticker {
-   public:
-    SelfRemover(Engine& e) : engine_(e) {}
-    void Tick(SimTime) override {
-      ++ticks;
-      engine_.RemoveTicker(this);
-    }
-    Engine& engine_;
-    int ticks = 0;
-  } remover(engine);
-  engine.AddTicker(&remover);
-  engine.AddTicker(&other);
-  engine.RunFor(Ms(3));
-  EXPECT_EQ(remover.ticks, 1);
-  EXPECT_EQ(other.ticks, 3);  // Unaffected by the removal.
-  engine.RemoveTicker(&other);
+    bool add_;
+    CountingTicker other_;
+  };
+  for (bool add : {true, false}) {
+    EXPECT_DEATH(
+        {
+          Engine engine(1);
+          Editor editor(engine, add);
+          engine.AddTicker(&editor);
+          engine.RunFor(Ms(1));
+        },
+        add ? "ticker added during a tick" : "ticker removed during a tick");
+  }
 }
 
 // ---------------------------------------------------------------------------
