@@ -66,8 +66,8 @@ void PrintHelp() {
   std::printf(
       "icesim — ICE reproduction simulator\n\n"
       "  --device=p20|pixel3      device profile (default p20)\n"
-      "  --scheme=NAME            lru_cfs | ucsg | acclaim | power | ice, or an\n"
-      "                           ablation strawman: nice19 | fasttrack_io\n"
+      "  --scheme=NAME            lru_cfs | ucsg | acclaim | power | ice, or the\n"
+      "                           ablation strawman nice19\n"
       "  --aging=NAME             page aging policy: two_list (classic LRU,\n"
       "                           default) | gen_clock (MGLRU-style generation\n"
       "                           clock); a comma-list sweep axis in sweep mode\n"

@@ -168,7 +168,9 @@ class SnapshotArchive {
   }
 
   // A length-prefixed ordered map: `entry(key, value)` transfers one entry.
-  // Restoring assigns map[key] per entry and does not clear `map` first.
+  // Restoring assigns map[key] per entry and does not clear `map` first. A
+  // save writes keys in strictly ascending order, so restoring throws on a
+  // duplicate or descending key, which would merge or reorder entries.
   template <class Map, class F>
   void Entries(Map& map, size_t min_entry_bytes, F&& entry) {
     size_t n = Count(map.size(), min_entry_bytes);
@@ -179,11 +181,15 @@ class SnapshotArchive {
       }
       return;
     }
+    auto last = map.end();
     for (size_t i = 0; i < n; ++i) {
       typename Map::key_type key{};
       typename Map::mapped_type value{};
       entry(key, value);
-      map[key] = std::move(value);
+      if (last != map.end() && !map.key_comp()(last->first, key)) {
+        Fail("map keys not strictly ascending");
+      }
+      last = map.insert_or_assign(std::move(key), std::move(value)).first;
     }
   }
 

@@ -65,7 +65,6 @@ constexpr struct {
     {"power", Make<PowerManagerScheme>},
     {"ice", Make<IceDaemon>},
     {"nice19", Make<MaxDeprioritizeScheme>},
-    {"fasttrack_io", Make<FastTrackIoScheme>},
 };
 }  // namespace
 
@@ -91,10 +90,22 @@ Experiment::Experiment(const ExperimentConfig& config) : Experiment(config, null
 Experiment::Experiment(const ExperimentConfig& config,
                        const std::vector<uint8_t>* snapshot, bool verify_checksum)
     : config_(config) {
-  config_.tuning.footprint_scale *= config_.device.footprint_scale;
   if (config_.ice.hwm_mib == 0) {
     // Table 4: H_wm for Eq. 1 comes from the device configuration.
     config_.ice.hwm_mib = config_.device.mdt_hwm_mib;
+  }
+  // Names are checked before anything is built, and a bad one throws, so a
+  // sweep cell with a bad name fails alone.
+  MemConfig mem_config = config_.device.mem;
+  if (!AgingPolicyFromName(config_.aging, &mem_config.aging)) {
+    throw std::invalid_argument("unknown aging policy: " + config_.aging);
+  }
+  if (!SwapPolicyFromName(config_.swap, &mem_config.swap.policy)) {
+    throw std::invalid_argument("unknown swap policy: " + config_.swap);
+  }
+  scheme_ = MakeScheme(config_.scheme, config_.ice);
+  if (scheme_ == nullptr) {
+    throw std::invalid_argument("unknown scheme '" + config_.scheme + "'");
   }
 
   engine_ = std::make_unique<Engine>(config_.seed);
@@ -105,11 +116,6 @@ Experiment::Experiment(const ExperimentConfig& config,
     engine_->set_tracer(tracer_.get());
   }
   storage_ = std::make_unique<BlockDevice>(*engine_, config_.device.flash);
-  MemConfig mem_config = config_.device.mem;
-  ICE_CHECK(AgingPolicyFromName(config_.aging, &mem_config.aging))
-      << "unknown aging policy: " << config_.aging;
-  ICE_CHECK(SwapPolicyFromName(config_.swap, &mem_config.swap.policy))
-      << "unknown swap policy: " << config_.swap;
   mm_ = std::make_unique<MemoryManager>(*engine_, mem_config, storage_.get());
   scheduler_ = std::make_unique<Scheduler>(*engine_, *mm_, config_.device.num_cores);
   services_ = std::make_unique<SystemServices>(*scheduler_, *mm_, config_.services);
@@ -128,9 +134,9 @@ Experiment::Experiment(const ExperimentConfig& config,
   // (the catalog is identical across devices of a fleet group anyway).
   if (config_.extended_catalog) {
     Rng catalog_rng = engine_->noise_rng().Fork();
-    catalog_ = ExtendedCatalog(catalog_rng, config_.tuning);
+    catalog_ = ExtendedCatalog(catalog_rng, config_.device.footprint_scale);
   } else {
-    catalog_ = DefaultCatalog(config_.tuning);
+    catalog_ = DefaultCatalog(config_.device.footprint_scale);
   }
   for (const CatalogApp& app : catalog_) {
     App* installed = am_->Install(app.descriptor);
@@ -147,15 +153,12 @@ Experiment::Experiment(const ExperimentConfig& config,
   });
 
   // Install the policy.
-  scheme_ = MakeScheme(config_.scheme, config_.ice);
-  ICE_CHECK(scheme_ != nullptr) << "unknown scheme '" << config_.scheme << "'";
   SystemRefs refs;
   refs.engine = engine_.get();
   refs.mm = mm_.get();
   refs.scheduler = scheduler_.get();
   refs.freezer = freezer_.get();
   refs.am = am_.get();
-  refs.storage = storage_.get();
   scheme_->Install(refs);
 
   // Everything alive now (kswapd + services) is the boot prefix recycling
@@ -334,8 +337,7 @@ std::string ConfigFingerprint(const ExperimentConfig& c) {
       << " hwm=" << c.device.mdt_hwm_mib << " fpba=" << c.device.full_pressure_bg_apps
       << " seed=" << c.seed << " scheme=" << c.scheme << " aging=" << c.aging
       << " swap=" << c.swap
-      << " fscale=" << c.tuning.footprint_scale
-      << " bgscale=" << c.tuning.bg_activity_scale << " ext=" << c.extended_catalog
+      << " fscale=" << c.device.footprint_scale << " bgscale=1 ext=" << c.extended_catalog
       << " nogc=" << c.disable_gc << " svc=" << c.services.service_tasks << '/'
       << c.services.period << '/' << c.services.duty << '/' << c.services.jitter
       << " ice=" << c.ice.delta << '/' << c.ice.thaw_duration << '/'

@@ -38,8 +38,7 @@ struct ExperimentConfig {
   DeviceProfile device;
   uint64_t seed = 42;
   // One of SchemeNames(): "lru_cfs", "ucsg", "acclaim", "power", "ice",
-  // "nice19" (§4.3 priority-reduction strawman), "fasttrack_io"
-  // (FG-priority I/O).
+  // "nice19" (§4.3 priority-reduction strawman).
   std::string scheme = "lru_cfs";
   // Page aging policy: "two_list" (classic active/inactive LRU) or
   // "gen_clock" (MGLRU-style generation clock). A sweepable axis, orthogonal
@@ -49,7 +48,6 @@ struct ExperimentConfig {
   // Ariadne-style hotness-gated, size-adaptive policy in src/swap/). Another
   // sweepable axis, orthogonal to both scheme and aging.
   std::string swap = "baseline";
-  WorkloadTuning tuning;
   bool extended_catalog = false;  // 40 apps (§3.2 study) instead of 20.
   bool disable_gc = false;        // The "idle runtime GC off" experiment.
   SystemServicesConfig services;
@@ -110,6 +108,8 @@ std::string ConfigFingerprint(const ExperimentConfig& config);
 
 class Experiment {
  public:
+  // Throws std::invalid_argument for a scheme, aging or swap name that no
+  // table holds.
   explicit Experiment(const ExperimentConfig& config);
   ~Experiment();
 

@@ -19,7 +19,8 @@ struct IceConfig {
   SimDuration max_freeze = Sec(64);
 
   // High watermark H_wm in MiB for Eq. 1 (Table 4: 256 on Pixel3, 1024 on
-  // P20). 0 = derive from the memory manager's configured high watermark.
+  // P20). 0 = the device's DeviceProfile::mdt_hwm_mib, which Experiment
+  // fills in; Mdt requires a positive value.
   uint64_t hwm_mib = 0;
 
   // Whitelist threshold: apps with oom_score_adj <= this are perceptible and

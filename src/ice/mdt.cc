@@ -14,12 +14,10 @@ namespace ice {
 Mdt::Mdt(const IceConfig& config, Engine& engine, MemoryManager& mm, Freezer& freezer,
          ActivityManager& am)
     : config_(config), engine_(engine), mm_(mm), freezer_(freezer), am_(am) {
-  hwm_mib_ = config_.hwm_mib != 0
-                 ? config_.hwm_mib
-                 : PagesToBytes(mm_.watermarks().high) / kMiB;
-  ICE_CHECK_GT(hwm_mib_, 0u);
-  // Config sanity: the clamp below assumes a non-empty [min, max] interval, a
+  // Config sanity: Eq. 1 needs a positive H_wm (Experiment fills in the
+  // device's), the clamp below assumes a non-empty [min, max] interval, a
   // positive thaw period for Eq. 1's R = E_f / E_t, and a finite δ >= 0.
+  ICE_CHECK_GT(config_.hwm_mib, 0u) << "hwm_mib must be positive";
   ICE_CHECK_LE(config_.min_freeze, config_.max_freeze)
       << "min_freeze must not exceed max_freeze";
   ICE_CHECK_GT(config_.thaw_duration, 0u) << "thaw_duration must be positive";
@@ -31,7 +29,7 @@ double Mdt::CurrentR() const {
   double sam_mib =
       static_cast<double>(PagesToBytes(mm_.available_pages())) / static_cast<double>(kMiB);
   sam_mib = std::max(sam_mib, 1.0);
-  double exponent = std::ceil(static_cast<double>(hwm_mib_) / sam_mib);
+  double exponent = std::ceil(static_cast<double>(config_.hwm_mib) / sam_mib);
   exponent = std::clamp(exponent, 1.0, 10.0);
   return config_.delta * std::pow(2.0, exponent);
 }

@@ -70,7 +70,6 @@ class Mdt {
   bool started_ = false;
   bool in_thaw_period_ = false;
   uint64_t epochs_ = 0;
-  uint64_t hwm_mib_ = 0;
   // The next period-boundary event (thaw begin when freezing, freeze begin
   // when thawing); tracked so snapshots can serialize and re-arm it.
   EventId pending_ = kInvalidEventId;

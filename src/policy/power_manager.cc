@@ -9,10 +9,18 @@
 
 namespace ice {
 
+namespace {
+// Scan period and fixed freeze duration.
+constexpr SimDuration kCheckPeriod = Sec(30);
+constexpr SimDuration kFreezeDuration = Sec(20);
+// Apps above this CPU-time delta per check period are "energy hungry".
+constexpr SimDuration kCpuThreshold = Ms(150);
+}  // namespace
+
 void PowerManagerScheme::Install(const SystemRefs& refs) {
   ICE_CHECK(refs.engine != nullptr && refs.am != nullptr && refs.freezer != nullptr);
   refs_ = refs;
-  check_event_ = refs_.engine->ScheduleAfter(config_.check_period, [this]() { PeriodicCheck(); });
+  check_event_ = refs_.engine->ScheduleAfter(kCheckPeriod, [this]() { PeriodicCheck(); });
 
   // Like ICE, the power manager must thaw before an app is displayed; the
   // ActivityManager already thaws on launch, so only the state bookkeeping
@@ -37,12 +45,8 @@ void PowerManagerScheme::PruneFiredThaws() {
 }
 
 void PowerManagerScheme::PeriodicCheck() {
-  check_event_ =
-      refs_.engine->ScheduleAfter(config_.check_period, [this]() { PeriodicCheck(); });
+  check_event_ = refs_.engine->ScheduleAfter(kCheckPeriod, [this]() { PeriodicCheck(); });
   PruneFiredThaws();
-  if (config_.charging) {
-    return;  // OEM behavior: no freezing on the charger.
-  }
 
   std::vector<App*> to_freeze;
   for (App* app : refs_.am->apps()) {
@@ -57,15 +61,15 @@ void PowerManagerScheme::PeriodicCheck() {
     if (app->state() != AppState::kCached || app->oom_adj() <= kAdjPerceptible) {
       continue;
     }
-    if (delta >= static_cast<uint64_t>(config_.cpu_threshold)) {
+    if (delta >= kCpuThreshold) {
       to_freeze.push_back(app);
     }
   }
   for (App* app : to_freeze) {
     refs_.freezer->FreezeApp(*app);
     Uid uid = app->uid();
-    EventId id = refs_.engine->ScheduleAfter(config_.freeze_duration,
-                                             [this, uid]() { ThawIfStillCached(uid); });
+    EventId id =
+        refs_.engine->ScheduleAfter(kFreezeDuration, [this, uid]() { ThawIfStillCached(uid); });
     pending_thaws_.emplace_back(uid, id);
   }
 }

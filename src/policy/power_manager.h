@@ -4,8 +4,7 @@
 //  * it freezes periodically, whatever the memory pressure;
 //  * the freezing target is the apps that burned the most CPU since the last
 //    check (an energy proxy), not the apps causing refaults;
-//  * the freezing intensity never adapts to memory pressure;
-//  * many OEMs disable freezing entirely while the device charges.
+//  * the freezing intensity never adapts to memory pressure.
 #ifndef SRC_POLICY_POWER_MANAGER_H_
 #define SRC_POLICY_POWER_MANAGER_H_
 
@@ -19,19 +18,6 @@ namespace ice {
 
 class PowerManagerScheme : public Scheme {
  public:
-  struct Config {
-    // Scan period and fixed freeze duration.
-    SimDuration check_period = Sec(30);
-    SimDuration freeze_duration = Sec(20);
-    // Apps above this CPU-time delta per check period are "energy hungry".
-    SimDuration cpu_threshold = Ms(150);
-    // OEM behavior: no freezing while charging.
-    bool charging = false;
-  };
-
-  PowerManagerScheme() = default;
-  explicit PowerManagerScheme(const Config& config) : config_(config) {}
-
   std::string name() const override { return "PowerMgr"; }
   void Install(const SystemRefs& refs) override;
 
@@ -45,7 +31,6 @@ class PowerManagerScheme : public Scheme {
   void ThawIfStillCached(Uid uid);
   void PruneFiredThaws();
 
-  Config config_;
   SystemRefs refs_;
   std::unordered_map<Uid, uint64_t> last_cpu_us_;
   EventId check_event_ = kInvalidEventId;

@@ -22,6 +22,4 @@ void MaxDeprioritizeScheme::Install(const SystemRefs& refs) {
   });
 }
 
-void FastTrackIoScheme::Install(const SystemRefs& refs) { refs.storage->set_fg_priority(true); }
-
 }  // namespace ice

@@ -1,7 +1,7 @@
 // Scheme: a pluggable memory/process-management policy. The four evaluated
 // schemes (§5.2) are LRU+CFS (baseline, no-op), UCSG, Acclaim, and Ice; the
-// power-manager freezer of §6.2.1 is a fifth. Two ablation strawmen below
-// complete the set src/harness builds by name (MakeScheme).
+// power-manager freezer of §6.2.1 is a fifth. The ablation strawman below
+// completes the set src/harness builds by name (MakeScheme).
 //
 // A scheme is installed once onto a built system and wires itself into the
 // relevant hooks: scheduler nice values (UCSG), reclaim victim filter
@@ -13,7 +13,6 @@
 
 #include "src/android/activity_manager.h"
 #include "src/mem/memory_manager.h"
-#include "src/storage/block_device.h"
 #include "src/proc/freezer.h"
 #include "src/proc/scheduler.h"
 #include "src/sim/engine.h"
@@ -28,7 +27,6 @@ struct SystemRefs {
   Scheduler* scheduler = nullptr;
   Freezer* freezer = nullptr;
   ActivityManager* am = nullptr;
-  BlockDevice* storage = nullptr;
 };
 
 class Scheme {
@@ -64,14 +62,6 @@ class LruCfsScheme : public Scheme {
 class MaxDeprioritizeScheme : public Scheme {
  public:
   std::string name() const override { return "Nice+19"; }
-  void Install(const SystemRefs& refs) override;
-};
-
-// LRU+CFS plus FastTrack-style foreground-priority I/O dispatch (Hahn et
-// al., ATC'18) at the block layer.
-class FastTrackIoScheme : public Scheme {
- public:
-  std::string name() const override { return "FG-prio I/O"; }
   void Install(const SystemRefs& refs) override;
 };
 

@@ -7,6 +7,11 @@
 // engine also owns the experiment-wide Rng and StatsRegistry so determinism
 // and accounting have a single root.
 //
+// The clock moves only in whole ticks. An event fires at the first tick
+// boundary at or after its µs deadline, and the events due at one boundary
+// fire in (deadline, seq) order. Every I/O latency is therefore a whole
+// number of ticks.
+//
 // When every Ticker reports quiescence via NextWorkAt() and no event is due,
 // the engine jumps time forward in whole ticks instead of spinning 1 ms at a
 // time ("idle tick-skipping"). Skipped ticks are observationally identical to

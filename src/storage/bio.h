@@ -14,10 +14,9 @@ enum class IoDir { kRead, kWrite };
 struct Bio {
   IoDir dir = IoDir::kRead;
   PageCount pages = 1;
-  // True when the request is on behalf of the foreground application; block
-  // schedulers such as FastTrack use this as a priority hint. Our default
-  // device is FIFO (matching the paper's stock configuration) but the flag is
-  // tracked for accounting.
+  // True when the request is on behalf of the foreground application. The
+  // device is FIFO (the paper's stock configuration); the flag is tracked
+  // for accounting and traces.
   bool foreground = false;
   Pid pid = kInvalidPid;
   // Invoked at completion time (simulated).

@@ -36,17 +36,8 @@ void BlockDevice::Submit(Bio bio) {
 
 void BlockDevice::MaybeStart() {
   while (inflight_ < profile_.queue_depth && !queue_.empty()) {
-    auto it = queue_.begin();
-    if (fg_priority_) {
-      for (auto cand = queue_.begin(); cand != queue_.end(); ++cand) {
-        if (cand->bio.foreground) {
-          it = cand;
-          break;
-        }
-      }
-    }
-    Pending p = std::move(*it);
-    queue_.erase(it);
+    Pending p = std::move(queue_.front());
+    queue_.pop_front();
     ++inflight_;
 
     SimDuration per_page =
@@ -99,7 +90,8 @@ void BlockDevice::Transfer(SnapshotArchive& ar) {
   ICE_CHECK_EQ(inflight_, 0) << "snapshot with in-flight I/O";
   rng_.Transfer(ar);
   ar.U64(bio_seq_);
-  ar.Bool(fg_priority_);
+  // Format v2 keeps the byte of the retired foreground-priority dispatch flag.
+  ar.Expect<uint8_t>(0, "FG-priority dispatch flag");
   ar.U64(pages_read_);
   ar.U64(pages_written_);
   ar.U64(requests_completed_);

@@ -5,6 +5,11 @@
 //   command_overhead + pages * per_page_latency, with log-normal jitter.
 // This reproduces the property the paper depends on: when background refault
 // I/O floods the queue, foreground fault-in requests wait behind it.
+//
+// A completion is an engine event, and the engine fires an event at the first
+// 1 ms tick boundary at or after its deadline (src/sim/engine.h). Requests
+// are submitted at tick boundaries, so every latency is a whole number of
+// ticks, at least one, however short the service time.
 #ifndef SRC_STORAGE_BLOCK_DEVICE_H_
 #define SRC_STORAGE_BLOCK_DEVICE_H_
 
@@ -36,11 +41,6 @@ class BlockDevice {
 
   // Enqueues a request; `bio.on_complete` fires when the device finishes it.
   void Submit(Bio bio);
-
-  // FastTrack-style foreground-priority dispatch (Hahn et al., ATC'18):
-  // when enabled, queued foreground requests are started before background
-  // ones. Off by default — the paper's stock configuration is FIFO.
-  void set_fg_priority(bool enabled) { fg_priority_ = enabled; }
 
   size_t queued() const { return queue_.size(); }
   int inflight() const { return inflight_; }
@@ -95,7 +95,6 @@ class BlockDevice {
   };
   std::deque<Pending> queue_;
   int inflight_ = 0;
-  bool fg_priority_ = false;
   uint64_t bio_seq_ = 0;
 
   uint64_t pages_read_ = 0;

@@ -50,13 +50,11 @@ CategoryShape ShapeFor(AppCategory category) {
   return {170, 260, 345, Ms(1400)};
 }
 
-CatalogApp MakeApp(const std::string& package, AppCategory category,
-                   const WorkloadTuning& tuning, bool main_thread_active,
-                   bool perceptible = false, bool buggy = false) {
+CatalogApp MakeApp(const std::string& package, AppCategory category, double fs,
+                   bool main_thread_active, bool perceptible = false, bool buggy = false) {
   CatalogApp app;
   app.category = category;
   CategoryShape shape = ShapeFor(category);
-  double fs = tuning.footprint_scale;
   app.descriptor.package = package;
   app.descriptor.java_pages = BytesToPages(static_cast<uint64_t>(shape.java_mib * fs) * kMiB);
   app.descriptor.native_pages =
@@ -67,12 +65,6 @@ CatalogApp MakeApp(const std::string& package, AppCategory category,
 
   app.bg.main_thread_active = main_thread_active;
   app.bg.buggy_wakeful = buggy;
-  double as = tuning.bg_activity_scale;
-  if (as > 0 && as != 1.0) {
-    app.bg.gc_period = static_cast<SimDuration>(app.bg.gc_period / as);
-    app.bg.sync_period = static_cast<SimDuration>(app.bg.sync_period / as);
-    app.bg.service_period = static_cast<SimDuration>(app.bg.service_period / as);
-  }
   // Category flavor: games GC rarely in BG but hold big native heaps; social
   // apps sync aggressively; media apps prefetch file content.
   switch (category) {
@@ -100,45 +92,45 @@ CatalogApp MakeApp(const std::string& package, AppCategory category,
 
 }  // namespace
 
-std::vector<CatalogApp> DefaultCatalog(const WorkloadTuning& tuning) {
+std::vector<CatalogApp> DefaultCatalog(double footprint_scale) {
   std::vector<CatalogApp> catalog;
   // Social (Table 3): Facebook, Skype, Twitter, WeChat, WhatsApp.
-  catalog.push_back(MakeApp("Facebook", AppCategory::kSocial, tuning, true, false, true));
-  catalog.push_back(MakeApp("Skype", AppCategory::kSocial, tuning, true, true));
-  catalog.push_back(MakeApp("Twitter", AppCategory::kSocial, tuning, true));
-  catalog.push_back(MakeApp("WeChat", AppCategory::kSocial, tuning, true));
-  catalog.push_back(MakeApp("WhatsApp", AppCategory::kSocial, tuning, true, true));
+  catalog.push_back(MakeApp("Facebook", AppCategory::kSocial, footprint_scale, true, false, true));
+  catalog.push_back(MakeApp("Skype", AppCategory::kSocial, footprint_scale, true, true));
+  catalog.push_back(MakeApp("Twitter", AppCategory::kSocial, footprint_scale, true));
+  catalog.push_back(MakeApp("WeChat", AppCategory::kSocial, footprint_scale, true));
+  catalog.push_back(MakeApp("WhatsApp", AppCategory::kSocial, footprint_scale, true, true));
   // Multi-Media: Youtube, Netflix, TikTok.
-  catalog.push_back(MakeApp("Youtube", AppCategory::kMultiMedia, tuning, true));
-  catalog.push_back(MakeApp("Netflix", AppCategory::kMultiMedia, tuning, false));
-  catalog.push_back(MakeApp("TikTok", AppCategory::kMultiMedia, tuning, true));
+  catalog.push_back(MakeApp("Youtube", AppCategory::kMultiMedia, footprint_scale, true));
+  catalog.push_back(MakeApp("Netflix", AppCategory::kMultiMedia, footprint_scale, false));
+  catalog.push_back(MakeApp("TikTok", AppCategory::kMultiMedia, footprint_scale, true));
   // Game: AngryBird, Arena of Valor, PUBG Mobile.
-  catalog.push_back(MakeApp("AngryBird", AppCategory::kGame, tuning, false));
-  catalog.push_back(MakeApp("ArenaOfValor", AppCategory::kGame, tuning, false));
-  catalog.push_back(MakeApp("PUBGMobile", AppCategory::kGame, tuning, true));
+  catalog.push_back(MakeApp("AngryBird", AppCategory::kGame, footprint_scale, false));
+  catalog.push_back(MakeApp("ArenaOfValor", AppCategory::kGame, footprint_scale, false));
+  catalog.push_back(MakeApp("PUBGMobile", AppCategory::kGame, footprint_scale, true));
   // E-Commerce: Amazon, PayPal, AliPay, eBay, Yelp.
-  catalog.push_back(MakeApp("Amazon", AppCategory::kECommerce, tuning, true));
-  catalog.push_back(MakeApp("PayPal", AppCategory::kECommerce, tuning, false));
-  catalog.push_back(MakeApp("AliPay", AppCategory::kECommerce, tuning, false));
-  catalog.push_back(MakeApp("eBay", AppCategory::kECommerce, tuning, true));
-  catalog.push_back(MakeApp("Yelp", AppCategory::kECommerce, tuning, false));
+  catalog.push_back(MakeApp("Amazon", AppCategory::kECommerce, footprint_scale, true));
+  catalog.push_back(MakeApp("PayPal", AppCategory::kECommerce, footprint_scale, false));
+  catalog.push_back(MakeApp("AliPay", AppCategory::kECommerce, footprint_scale, false));
+  catalog.push_back(MakeApp("eBay", AppCategory::kECommerce, footprint_scale, true));
+  catalog.push_back(MakeApp("Yelp", AppCategory::kECommerce, footprint_scale, false));
   // Utility: Chrome, Camera, Uber, Google Map.
-  catalog.push_back(MakeApp("Chrome", AppCategory::kUtility, tuning, true));
-  catalog.push_back(MakeApp("Camera", AppCategory::kUtility, tuning, false));
-  catalog.push_back(MakeApp("Uber", AppCategory::kUtility, tuning, true));
-  catalog.push_back(MakeApp("GoogleMap", AppCategory::kUtility, tuning, true));
+  catalog.push_back(MakeApp("Chrome", AppCategory::kUtility, footprint_scale, true));
+  catalog.push_back(MakeApp("Camera", AppCategory::kUtility, footprint_scale, false));
+  catalog.push_back(MakeApp("Uber", AppCategory::kUtility, footprint_scale, true));
+  catalog.push_back(MakeApp("GoogleMap", AppCategory::kUtility, footprint_scale, true));
   return catalog;
 }
 
-std::vector<CatalogApp> ExtendedCatalog(Rng& rng, const WorkloadTuning& tuning) {
-  std::vector<CatalogApp> catalog = DefaultCatalog(tuning);
+std::vector<CatalogApp> ExtendedCatalog(Rng& rng, double footprint_scale) {
+  std::vector<CatalogApp> catalog = DefaultCatalog(footprint_scale);
   static const AppCategory kCats[] = {AppCategory::kSocial, AppCategory::kMultiMedia,
                                       AppCategory::kGame, AppCategory::kECommerce,
                                       AppCategory::kUtility};
   for (int i = 0; i < 20; ++i) {
     AppCategory cat = kCats[i % 5];
     bool active = rng.Chance(0.58);
-    CatalogApp app = MakeApp("Extra" + std::to_string(i), cat, tuning, active);
+    CatalogApp app = MakeApp("Extra" + std::to_string(i), cat, footprint_scale, active);
     // Jitter footprints +-25 % so the study set is not 5 identical shapes.
     double jitter = 0.75 + 0.5 * rng.NextDouble();
     app.descriptor.java_pages = static_cast<PageCount>(app.descriptor.java_pages * jitter);

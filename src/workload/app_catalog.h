@@ -27,7 +27,6 @@ struct BgActivityParams {
   // ART GC sweeps over the Java heap. A mark phase walks live objects across
   // the *whole* populated heap — cold pages included — which is why GC is
   // the best-known source of BG refaults (§3.2).
-  bool gc_enabled = true;
   SimDuration gc_period = Sec(15);
   double gc_touch_fraction = 0.7;  // Of the populated Java heap per sweep.
   SimDuration gc_cpu = Ms(120);
@@ -58,18 +57,13 @@ struct CatalogApp {
   BgActivityParams bg;
 };
 
-// Global calibration knobs (multipliers applied when building catalogs).
-struct WorkloadTuning {
-  double footprint_scale = 1.0;
-  double bg_activity_scale = 1.0;  // >1 = more frequent BG work.
-};
-
-// The 20 Table-3 applications.
-std::vector<CatalogApp> DefaultCatalog(const WorkloadTuning& tuning = {});
+// The 20 Table-3 applications. Every footprint is multiplied by
+// `footprint_scale` (the device's DeviceProfile::footprint_scale).
+std::vector<CatalogApp> DefaultCatalog(double footprint_scale = 1.0);
 
 // 40 popular applications (the §3.2 study set): the default 20 plus 20
 // synthesized category-mates with jittered parameters.
-std::vector<CatalogApp> ExtendedCatalog(Rng& rng, const WorkloadTuning& tuning = {});
+std::vector<CatalogApp> ExtendedCatalog(Rng& rng, double footprint_scale = 1.0);
 
 // Looks up a catalog entry by package name; null when absent.
 const CatalogApp* FindInCatalog(const std::vector<CatalogApp>& catalog,

@@ -118,7 +118,7 @@ void AttachBgActivity(ActivityManager& am, App& app, const BgActivityParams& par
   uint32_t file_hot = prefix_end(main->file_begin(), main->file_end(),
                                  desc.cold_touch_fraction);
 
-  if (params.gc_enabled && !disable_gc && main->layout().java_pages > 0) {
+  if (!disable_gc && main->layout().java_pages > 0) {
     PeriodicTouchBehavior::Params gc;
     gc.regions[0] = {main, main->java_begin(),
                      std::max(java_hot, main->java_begin() + 1), 1.0};

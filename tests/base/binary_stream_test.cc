@@ -196,6 +196,38 @@ TEST(SnapshotArchiveTest, TransferRoundTrips) {
   EXPECT_EQ(got.names, want.names);
 }
 
+// Restores a map from a count and `keys`, each with a one-letter value, and
+// expects the archive to reject it.
+void ExpectEntriesRejected(const std::vector<int>& keys) {
+  BinaryWriter w;
+  w.U64(keys.size());
+  for (int key : keys) {
+    w.I64(key);
+    w.Str("v");
+  }
+  std::vector<uint8_t> buf = w.Finish();
+  BinaryReader r(buf);
+  SnapshotArchive ar(r);
+  std::map<int, std::string> names;
+  try {
+    ar.Entries(names, 16, [&ar](int& key, std::string& value) {
+      ar.I64(key);
+      ar.Str(value);
+    });
+    ADD_FAILURE() << "keys were accepted; the map holds " << names.size() << " entries";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("snapshot: ", 0), 0u) << e.what();
+  }
+}
+
+// A save writes each key once, so a repeated key is a damaged stream: the
+// restore would merge two entries into one, and a re-save would lose one.
+TEST(SnapshotArchiveTest, EntriesRejectADuplicateKey) { ExpectEntriesRejected({1, 1}); }
+
+// A save writes keys in ascending order; the map would reorder descending
+// ones, so a re-save would differ from the stream.
+TEST(SnapshotArchiveTest, EntriesRejectDescendingKeys) { ExpectEntriesRejected({9, 1}); }
+
 TEST(SnapshotArchiveTest, ExpectMismatchThrows) {
   BinaryWriter w;
   SnapshotArchive save(w);

@@ -814,6 +814,29 @@ TEST(SnapshotRestoreChecks, CounterNamesMustBeKnown) {
   });
 }
 
+// Two counters, mem.refaults_bg and mem.refaults_fg.
+struct RefaultSplitRig {
+  RefaultSplitRig() {
+    engine.stats().Add(stat::kRefaultsBg, 2);
+    engine.stats().Add(stat::kRefaultsFg, 1);
+  }
+  void Transfer(SnapshotArchive& ar) { engine.Transfer(ar); }
+
+  Engine engine{3};
+};
+
+// A name flipped to another known one (mem.refaults_bg to mem.refaults_fg)
+// repeats that name: restore would keep one count under it and zero the other
+// counter.
+TEST(SnapshotRestoreChecks, CounterNamesMustNotRepeat) {
+  ExpectRigRejected<RefaultSplitRig>([](std::vector<uint8_t>& b) {
+    const std::string name = stat::kRefaultsBg;
+    auto at = std::search(b.begin(), b.end(), name.begin(), name.end());
+    ASSERT_NE(at, b.end());
+    at[static_cast<std::ptrdiff_t>(name.size()) - 2] = 'f';
+  });
+}
+
 struct IdleBehavior : Behavior {
   void Run(TaskContext& ctx) override { ctx.SleepUntilWoken(); }
 };

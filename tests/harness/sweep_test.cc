@@ -2,7 +2,8 @@
 //  (a) parallel results are identical to serial results, cell by cell, at
 //      fixed seeds (the determinism guarantee CI asserts against);
 //  (b) result ordering is grid order, independent of the worker count;
-//  (c) a cell that throws is reported without poisoning sibling cells.
+//  (c) a cell that throws, or names an unknown scheme, is reported without
+//      poisoning sibling cells.
 #include "src/harness/sweep.h"
 
 #include <chrono>
@@ -142,6 +143,24 @@ TEST(SweepRunner, ThrowingCellDoesNotPoisonSiblings) {
       EXPECT_EQ(out[i].value, static_cast<int>(i) + 1);
     }
   }
+}
+
+TEST(SweepRunner, UnknownSchemeFailsOnlyItsCell) {
+  SweepAxes axes;
+  axes.devices = {Pixel3Profile()};
+  axes.schemes = {"lru_cfs", "nope"};
+  axes.scenarios = {ScenarioKind::kShortVideo};
+  axes.bg_counts = {2};
+  axes.seeds = {7};
+  axes.duration = Sec(3);
+  axes.warmup = Sec(2);
+  std::vector<SweepCell> cells = axes.Cells();
+  std::vector<CellOutcome> out = SweepRunner(2).Run(cells);
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_TRUE(out[0].ok) << out[0].error;
+  ExpectIdentical(out[0].value, SweepRunner::RunCell(cells[0]));
+  EXPECT_FALSE(out[1].ok);
+  EXPECT_EQ(out[1].error, "unknown scheme 'nope'");
 }
 
 TEST(SweepAxes, CellsMatchIndex) {

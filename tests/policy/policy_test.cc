@@ -2,10 +2,10 @@
 // FAE, the power manager's power-oriented freezing, and the scheme table.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <utility>
 
 #include "src/harness/experiment.h"
-#include "src/policy/power_manager.h"
 #include "src/policy/ucsg.h"
 #include "src/proc/task.h"
 
@@ -15,8 +15,7 @@ namespace {
 TEST(SchemeTable, BuildsEverySchemeByName) {
   const std::vector<std::pair<std::string, std::string>> kSchemes = {
       {"lru_cfs", "LRU+CFS"}, {"ucsg", "UCSG"}, {"acclaim", "Acclaim"},
-      {"power", "PowerMgr"}, {"ice", "Ice"}, {"nice19", "Nice+19"},
-      {"fasttrack_io", "FG-prio I/O"}};
+      {"power", "PowerMgr"}, {"ice", "Ice"}, {"nice19", "Nice+19"}};
   std::vector<std::string> names;
   for (const auto& [name, display_name] : kSchemes) {
     names.push_back(name);
@@ -30,10 +29,16 @@ TEST(SchemeTable, BuildsEverySchemeByName) {
   EXPECT_EQ(MakeScheme("nope", IceConfig{}), nullptr);
 }
 
-TEST(SchemeTableDeathTest, UnknownSchemeFailsExperimentConstruction) {
-  ExperimentConfig config;
-  config.scheme = "nope";
-  EXPECT_DEATH(Experiment{config}, "unknown scheme 'nope'");
+TEST(SchemeTable, UnknownNamesFailExperimentConstruction) {
+  ExperimentConfig scheme;
+  scheme.scheme = "nope";
+  EXPECT_THROW(Experiment{scheme}, std::invalid_argument);
+  ExperimentConfig aging;
+  aging.aging = "lru_k";
+  EXPECT_THROW(Experiment{aging}, std::invalid_argument);
+  ExperimentConfig swap;
+  swap.swap = "zswap";
+  EXPECT_THROW(Experiment{swap}, std::invalid_argument);
 }
 
 TEST(MaxDeprioritize, BackgroundTasksAtNice19) {
@@ -142,26 +147,6 @@ TEST(PowerManager, FreezesCpuHungryBgApps) {
   // Fixed-duration freezing: thaws happen too.
   exp.engine().RunFor(Sec(60));
   EXPECT_GT(exp.engine().stats().Get(stat::kThaws), 0u);
-}
-
-TEST(PowerManager, NoFreezingWhileCharging) {
-  PowerManagerScheme::Config pm_config;
-  pm_config.charging = true;
-  ExperimentConfig config;
-  config.seed = 5;
-  Experiment exp(config);  // Build baseline, then install power manager manually.
-  PowerManagerScheme scheme(pm_config);
-  SystemRefs refs;
-  refs.engine = &exp.engine();
-  refs.mm = &exp.mm();
-  refs.scheduler = &exp.scheduler();
-  refs.freezer = &exp.freezer();
-  refs.am = &exp.am();
-  scheme.Install(refs);
-
-  exp.CacheBackgroundApps(6);
-  exp.engine().RunFor(Sec(120));
-  EXPECT_EQ(exp.engine().stats().Get(stat::kFreezes), 0u);
 }
 
 TEST(PowerManager, NeverFreezesForegroundOrPerceptible) {

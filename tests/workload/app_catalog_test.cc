@@ -49,22 +49,11 @@ TEST(AppCatalog, GamesAreBiggest) {
 }
 
 TEST(AppCatalog, FootprintScaleApplies) {
-  WorkloadTuning tuning;
-  tuning.footprint_scale = 2.0;
-  auto big = DefaultCatalog(tuning);
+  auto big = DefaultCatalog(2.0);
   auto normal = DefaultCatalog();
   EXPECT_NEAR(static_cast<double>(big[0].descriptor.native_pages),
               2.0 * normal[0].descriptor.native_pages,
               normal[0].descriptor.native_pages * 0.02);
-}
-
-TEST(AppCatalog, ActivityScaleShortensPeriods) {
-  WorkloadTuning tuning;
-  tuning.bg_activity_scale = 2.0;
-  auto fast = DefaultCatalog(tuning);
-  auto normal = DefaultCatalog();
-  EXPECT_LT(fast[0].bg.sync_period, normal[0].bg.sync_period);
-  EXPECT_LT(fast[0].bg.gc_period, normal[0].bg.gc_period);
 }
 
 TEST(AppCatalog, PerceptibleAppsExist) {
