@@ -3,12 +3,13 @@
 // (56-byte records with an intrusive prev/next pointer pair and an owner
 // back-pointer).
 //
-// The legacy layout and LRU are reproduced in-file (verbatim semantics:
-// active-head insert, second-chance promotion, inactive_is_low balancing,
-// victim-filter rotation) so the comparison stays runnable after the old
-// code is gone. Working sets are sized past the LLC (256k-1M pages, i.e.
-// 4-56 MB of page metadata) because the win is cache behavior: four packed
-// records share a 64-byte line where one legacy record spilled over it.
+// The legacy layout, its intrusive list and LRU are reproduced in-file
+// (verbatim semantics: active-head insert, second-chance promotion,
+// inactive_is_low balancing, victim-filter rotation) so the comparison stays
+// runnable after the old code is gone. Working sets are sized past the LLC
+// (256k-1M pages, i.e. 4-56 MB of page metadata) because the win is cache
+// behavior: four packed records share a 64-byte line where one legacy record
+// spilled over it.
 //
 // Set ICE_BENCH_ITERS to pin the iteration count (CI smoke runs do, so the
 // artifact is comparable across machines in shape even when not in time).
@@ -20,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/intrusive_list.h"
+#include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/mem/address_space.h"
 #include "src/mem/lru.h"
@@ -33,6 +34,96 @@ namespace {
 // The pre-packing page record and pointer-based LRU (one heap-spread record
 // per page, prev/next pointers, owner back-pointer).
 // ---------------------------------------------------------------------------
+
+// The intrusive doubly-linked list the legacy LRU linked its records with,
+// reduced to the members the LRU calls.
+template <typename Tag>
+class ListNode {
+ public:
+  ListNode() = default;
+  ~ListNode() { ICE_CHECK(!linked()) << "destroying a linked ListNode"; }
+
+  ListNode(const ListNode&) = delete;
+  ListNode& operator=(const ListNode&) = delete;
+
+  bool linked() const { return next_ != nullptr; }
+
+ private:
+  template <typename T, typename U>
+  friend class IntrusiveList;
+
+  ListNode* prev_ = nullptr;
+  ListNode* next_ = nullptr;
+};
+
+// T must derive from ListNode<Tag>.
+template <typename T, typename Tag>
+class IntrusiveList {
+ public:
+  using Node = ListNode<Tag>;
+
+  IntrusiveList() {
+    head_.prev_ = &head_;
+    head_.next_ = &head_;
+  }
+
+  ~IntrusiveList() {
+    while (!empty()) {
+      PopBack();
+    }
+    // Neutralize the self-referencing sentinel so its own ~ListNode check
+    // (which guards real elements) does not fire.
+    head_.prev_ = nullptr;
+    head_.next_ = nullptr;
+  }
+
+  IntrusiveList(const IntrusiveList&) = delete;
+  IntrusiveList& operator=(const IntrusiveList&) = delete;
+
+  bool empty() const { return head_.next_ == &head_; }
+  size_t size() const { return size_; }
+
+  void PushFront(T* item) { InsertBefore(head_.next_, item); }
+
+  T* PopBack() {
+    if (empty()) {
+      return nullptr;
+    }
+    T* item = FromNode(head_.prev_);
+    Remove(item);
+    return item;
+  }
+
+  void Remove(T* item) {
+    Node* n = AsNode(item);
+    ICE_CHECK(n->linked()) << "removing unlinked item";
+    n->prev_->next_ = n->next_;
+    n->next_->prev_ = n->prev_;
+    n->prev_ = nullptr;
+    n->next_ = nullptr;
+    --size_;
+  }
+
+  static bool IsLinked(const T* item) { return AsNode(item)->linked(); }
+
+ private:
+  static Node* AsNode(T* item) { return static_cast<Node*>(item); }
+  static const Node* AsNode(const T* item) { return static_cast<const Node*>(item); }
+  static T* FromNode(Node* n) { return static_cast<T*>(n); }
+
+  void InsertBefore(Node* pos, T* item) {
+    Node* n = AsNode(item);
+    ICE_CHECK(!n->linked()) << "inserting already linked item";
+    n->prev_ = pos->prev_;
+    n->next_ = pos;
+    pos->prev_->next_ = n;
+    pos->prev_ = n;
+    ++size_;
+  }
+
+  Node head_;
+  size_t size_ = 0;
+};
 
 struct LegacyLruTag {};
 

@@ -26,7 +26,6 @@ SystemServices::SystemServices(Scheduler& scheduler, MemoryManager& mm,
     params.period = config.period;
     params.compute_us =
         static_cast<SimDuration>(static_cast<double>(config.period) * config.duty);
-    params.touches = 0;
     params.jitter = config.jitter;
     std::string name = kNames[i % (sizeof(kNames) / sizeof(kNames[0]))];
     tasks_.push_back(scheduler.CreateTask(name, /*process=*/nullptr, /*nice=*/0,

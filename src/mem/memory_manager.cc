@@ -98,6 +98,11 @@ void MemoryManager::Release(AddressSpace& space) {
   }
   spaces_.erase(it);
   arena_pages_live_ -= space.total_pages();
+  // Abandon the space's in-flight reads; their completion handlers no-op once
+  // the page states are reset, and their waiters belong to the dying process.
+  std::erase_if(in_flight_reads_, [id = space.space_id()](const InFlightRead& r) {
+    return r.page.space_id() == id;
+  });
   for (PageInfo& p : space.pages()) {
     switch (p.state()) {
       case PageState::kPresent:
@@ -108,18 +113,10 @@ void MemoryManager::Release(AddressSpace& space) {
         // Frames-held sync is batched: one SyncZramFrames() after the loop.
         zram_.Drop(&p);
         break;
-      case PageState::kFaultingIn: {
-        // Abandon the in-flight fault; the completion handler no-ops once the
-        // state is reset. Waiters belong to the dying process. The fault
-        // took a frame for this page (readahead pages too): return it.
-        auto pending = pending_faults_.find(space.handle_of(space.VpnOf(p)).packed);
-        if (pending != pending_faults_.end()) {
-          RecycleWaiterList(std::move(pending->second));
-          pending_faults_.erase(pending);
-        }
+      case PageState::kFaultingIn:
+        // The fault took a frame for this page (readahead pages too).
         ++free_pages_;
         break;
-      }
       case PageState::kOnFlash:
         break;
       case PageState::kUntouched:
@@ -147,7 +144,7 @@ void MemoryManager::ForgetSpaces() {
 
 void MemoryManager::ResetForRecycle() {
   ICE_CHECK(spaces_.empty()) << "recycle with address spaces still registered";
-  ICE_CHECK(pending_faults_.empty()) << "recycle with in-flight faults";
+  ICE_CHECK(in_flight_reads_.empty()) << "recycle with in-flight faults";
   ICE_CHECK(!in_reclaim_);
   ICE_CHECK_EQ(zram_.stored_bytes(), 0u) << "recycle with pages still in zram";
   next_space_id_ = 0;
@@ -320,15 +317,9 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
       }
       p.set_state(PageState::kFaultingIn);
 
-      // The entry itself is created even without a waker: faults_in_flight()
-      // counts primary flash faults by pending_faults_ size.
-      auto [it, inserted] = pending_faults_.try_emplace(space.handle_of(vpn).packed);
-      if (inserted && it->second.capacity() == 0) {
-        it->second = TakeWaiterList();
-      }
-      if (waker) {
-        it->second.push_back(waker);
-      }
+      // The entry goes on even without a waker, so faults_in_flight() stays
+      // nonzero until the read completes.
+      in_flight_reads_.push_back({space.handle_of(vpn), waker});
       ICE_CHECK(storage_ != nullptr) << "flash fault without a storage device";
 
       // Readahead: only when the fault pattern is sequential (the kernel's
@@ -381,33 +372,13 @@ AccessOutcome MemoryManager::Access(AddressSpace& space, uint32_t vpn, bool writ
       outcome.kind = AccessOutcome::Kind::kIoFault;
       outcome.blocked = true;
       if (waker) {
-        auto [it, inserted] = pending_faults_.try_emplace(space.handle_of(vpn).packed);
-        if (inserted && it->second.capacity() == 0) {
-          it->second = TakeWaiterList();
-        }
-        it->second.push_back(waker);
+        in_flight_reads_.push_back({space.handle_of(vpn), waker});
       }
       return outcome;
     }
   }
   ICE_CHECK(false) << "unreachable";
   return outcome;
-}
-
-MemoryManager::WaiterList MemoryManager::TakeWaiterList() {
-  if (waiter_pool_.empty()) {
-    return {};
-  }
-  WaiterList list = std::move(waiter_pool_.back());
-  waiter_pool_.pop_back();
-  return list;
-}
-
-void MemoryManager::RecycleWaiterList(WaiterList&& waiters) {
-  waiters.clear();
-  if (waiters.capacity() > 0 && waiter_pool_.size() < 64) {
-    waiter_pool_.push_back(std::move(waiters));
-  }
 }
 
 void MemoryManager::RecordRefaultStats(AddressSpace& space, uint32_t vpn, bool foreground) {
@@ -436,14 +407,19 @@ void MemoryManager::FinishIoFault(AddressSpace* space, uint32_t vpn) {
     return;
   }
   MakePresent(*space, &p);
-  auto it = pending_faults_.find(space->handle_of(vpn).packed);
-  if (it != pending_faults_.end()) {
-    WaiterList waiters = std::move(it->second);
-    pending_faults_.erase(it);
-    for (auto& w : waiters) {
-      w();
+  // Wake the page's waiters in the order they were added; each entry leaves
+  // the list before its waker runs.
+  const PageHandle page = space->handle_of(vpn);
+  auto next = [this, page] {
+    return std::find_if(in_flight_reads_.begin(), in_flight_reads_.end(),
+                        [page](const InFlightRead& r) { return r.page == page; });
+  };
+  for (auto it = next(); it != in_flight_reads_.end(); it = next()) {
+    std::function<void()> waker = std::move(it->waker);
+    in_flight_reads_.erase(it);
+    if (waker) {
+      waker();
     }
-    RecycleWaiterList(std::move(waiters));
   }
 }
 
@@ -471,7 +447,7 @@ void MemoryManager::DirectReclaim(AccessOutcome& outcome) {
 void MemoryManager::Transfer(SnapshotArchive& ar) {
   // Quiescent-point contract: no flash fault may be mid-flight (its I/O
   // completion closure would be lost) and no reclaim batch mid-run.
-  ICE_CHECK_EQ(pending_faults_.size(), 0u) << "snapshot with faults in flight";
+  ICE_CHECK(in_flight_reads_.empty()) << "snapshot with faults in flight";
   ICE_CHECK(!in_reclaim_) << "snapshot during a reclaim batch";
   ar.Expect<uint32_t>(next_space_id_, "space-id allocation");
   ar.U64(reclaim_cursor_);

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/units.h"
@@ -216,7 +215,9 @@ class MemoryManager {
   // Total pages on file LRUs across spaces (for MemAvailable).
   PageCount file_lru_pages() const;
 
-  uint64_t faults_in_flight() const { return pending_faults_.size(); }
+  // Entries on the in-flight read list: 0 exactly when no flash read is in
+  // flight.
+  uint64_t faults_in_flight() const { return in_flight_reads_.size(); }
 
   // ---- Snapshot ------------------------------------------------------------
   // Serializes every registered space (raw arena dumps + LRU state), the
@@ -352,18 +353,18 @@ class MemoryManager {
   // reentry, so only one batch uses it at a time).
   std::vector<PageInfo*> isolate_scratch_;
 
-  // Pages with an in-flight flash read and the tasks waiting on them, keyed
-  // by the packed {space_id, vpn} handle (the global page-table view of a
-  // page: space ids are per-manager and never reused, so a stale handle can
-  // only miss, never alias).
-  using WaiterList = std::vector<std::function<void()>>;
-  std::unordered_map<uint64_t, WaiterList> pending_faults_;
-
-  // Retired waiter lists, recycled so fault storms do not heap-allocate a
-  // fresh vector per blocked fault.
-  std::vector<WaiterList> waiter_pool_;
-  WaiterList TakeWaiterList();
-  void RecycleWaiterList(WaiterList&& waiters);
+  // Flash reads in flight, as (page, waker) entries in the order they were
+  // added: one per primary fault (its waker may be empty) and one per waker
+  // that piled on. A page's entries leave when its read completes, waking in
+  // that order, or when its space is released. Pages are named by their
+  // {space_id, vpn} handle: space ids are per-manager and never reused, so a
+  // stale handle can only miss, never alias. A few reads are in flight at a
+  // time, so entries are found by a linear scan.
+  struct InFlightRead {
+    PageHandle page;
+    std::function<void()> waker;
+  };
+  std::vector<InFlightRead> in_flight_reads_;
 
   // Dirty file pages coalesced into one writeback bio.
   PageCount writeback_pending_ = 0;

@@ -82,7 +82,7 @@ struct PageLinks {
 
 // A page identity that survives outside the owning AddressSpace: the
 // MemoryManager assigns each registered space a per-manager id and keys
-// cross-space structures (the in-flight fault table) by this packed handle.
+// cross-space structures (the in-flight read list) by this packed handle.
 struct PageHandle {
   uint64_t packed = 0;
 

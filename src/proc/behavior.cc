@@ -148,20 +148,10 @@ void PeriodicLoadBehavior::Run(TaskContext& ctx) {
     return;
   }
   while (!ctx.ShouldStop()) {
-    if (remaining_compute_ == 0 && remaining_touches_ == 0) {
+    if (remaining_compute_ == 0) {
       remaining_compute_ = params_.compute_us;
-      remaining_touches_ = params_.touches;
-      if (remaining_compute_ == 0 && remaining_touches_ == 0) {
+      if (remaining_compute_ == 0) {
         ctx.SleepFor(params_.period);
-        return;
-      }
-    }
-    while (remaining_touches_ > 0) {
-      ICE_CHECK(params_.space != nullptr) << "touches configured without a space";
-      uint32_t vpn = ctx.rng().Below(static_cast<uint32_t>(params_.space->total_pages()));
-      --remaining_touches_;
-      ctx.Touch(*params_.space, vpn, /*write=*/false);
-      if (ctx.ShouldStop()) {
         return;
       }
     }
@@ -186,18 +176,18 @@ void PeriodicLoadBehavior::Run(TaskContext& ctx) {
 
 void PeriodicLoadBehavior::Transfer(SnapshotArchive& ar) {
   ar.U64(remaining_compute_);
-  ar.U32(remaining_touches_);
+  // Format v2 keeps the countdown of the retired page-touch path.
+  ar.Expect<uint32_t>(0, "periodic-load touch countdown");
   ar.Bool(started_);
   if (!ar.loading()) {
     return;
   }
-  // A countdown only ever runs down from its configured value, and only once
-  // the behavior has started; anything else would, say, send a touchless
-  // service to touch pages it has no space for.
-  if (remaining_touches_ > params_.touches || remaining_compute_ > params_.compute_us) {
+  // The countdown only ever runs down from its configured value, and only
+  // once the behavior has started.
+  if (remaining_compute_ > params_.compute_us) {
     SnapshotArchive::Fail("periodic-load countdown exceeds its per-burst value");
   }
-  if (!started_ && (remaining_touches_ > 0 || remaining_compute_ > 0)) {
+  if (!started_ && remaining_compute_ > 0) {
     SnapshotArchive::Fail("periodic-load behavior carries a burst before it started");
   }
 }

@@ -146,16 +146,13 @@ class KswapdBehavior : public Behavior {
   void Run(TaskContext& ctx) override;
 };
 
-// Periodic compute-plus-touch load (system services, cputester): every
-// `period`, runs `compute_us` and touches `touches` pages drawn uniformly
-// from its space (if any).
+// Periodic compute load (system services, cputester): every `period`, runs
+// `compute_us`.
 class PeriodicLoadBehavior : public Behavior {
  public:
   struct Params {
     SimDuration period = Ms(100);
     SimDuration compute_us = Us(500);
-    uint32_t touches = 0;
-    AddressSpace* space = nullptr;
     // Jitter applied to each period (fraction of period, uniform).
     double jitter = 0.2;
   };
@@ -169,7 +166,6 @@ class PeriodicLoadBehavior : public Behavior {
  private:
   Params params_;
   SimDuration remaining_compute_ = 0;
-  uint32_t remaining_touches_ = 0;
   bool started_ = false;
 };
 

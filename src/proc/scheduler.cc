@@ -16,15 +16,11 @@ namespace ice {
 Scheduler::Scheduler(Engine& engine, MemoryManager& mm, int num_cores)
     : engine_(engine), mm_(mm), num_cores_(num_cores) {
   ICE_CHECK_GT(num_cores, 0);
+  ICE_CHECK_EQ(engine_.now(), 0u) << "scheduler built on a running engine";
   engine_.AddTicker(this);
 }
 
-Scheduler::~Scheduler() {
-  engine_.RemoveTicker(this);
-  // Unlink every queued task before the unique_ptrs release them (ListNode
-  // asserts it is unlinked at destruction).
-  run_queue_.Clear();
-}
+Scheduler::~Scheduler() { engine_.RemoveTicker(this); }
 
 Task* Scheduler::CreateTask(std::string name, Process* process, int nice,
                             std::unique_ptr<Behavior> behavior) {
@@ -41,26 +37,23 @@ Task* Scheduler::CreateTask(std::string name, Process* process, int nice,
   }
   // New tasks start runnable at the current fairness floor.
   raw->SetVruntime(min_vruntime_us_);
-  run_queue_.PushBack(raw);
+  run_queue_.push_back(raw);
   return raw;
 }
 
 void Scheduler::OnTaskRunnable(Task* task) {
-  using RunQueue = IntrusiveList<Task, RunQueueTag>;
-  ICE_CHECK(!RunQueue::IsLinked(task));
+  ICE_CHECK(task->state() == TaskState::kRunnable) << task->name();
   // Waking tasks are placed at the fairness floor so long sleepers cannot
   // monopolize the CPU (min_vruntime normalization).
   if (task->vruntime_us() < min_vruntime_us_) {
     task->SetVruntime(min_vruntime_us_);
   }
-  run_queue_.PushBack(task);
+  run_queue_.push_back(task);
 }
 
 void Scheduler::OnTaskNotRunnable(Task* task) {
-  using RunQueue = IntrusiveList<Task, RunQueueTag>;
-  if (RunQueue::IsLinked(task)) {
-    run_queue_.Remove(task);
-  }
+  ICE_CHECK(task->state() != TaskState::kRunnable) << task->name();
+  std::erase(run_queue_, task);
 }
 
 void Scheduler::OnTaskDead(Task* task) {
@@ -85,46 +78,34 @@ SimTime Scheduler::NextWorkAt(SimTime now) {
 }
 
 void Scheduler::OnTicksSkipped(SimTime first_skipped, uint64_t count) {
-  const SimDuration quantum = Engine::kTick;
-  const uint64_t cap_per_tick = static_cast<uint64_t>(num_cores_) * quantum;
-  SimTime t = first_skipped;
-  uint64_t remaining = count;
-  while (remaining > 0) {
-    // First skipped tick at which the per-second sampler would have fired
-    // (Tick samples when t + quantum >= next_second_boundary_).
-    SimTime threshold = next_second_boundary_ - quantum;
-    uint64_t until_sample = threshold > t ? (threshold - t + quantum - 1) / quantum : 0;
-    uint64_t chunk = std::min(remaining, until_sample + 1);
-    capacity_us_ += chunk * cap_per_tick;
-    second_capacity_us_ += chunk * cap_per_tick;
-    t += chunk * quantum;
-    remaining -= chunk;
-    if (chunk == until_sample + 1) {
-      per_second_.push_back(second_capacity_us_ == 0
-                                ? 0.0
-                                : static_cast<double>(second_busy_us_) / second_capacity_us_);
-      second_busy_us_ = 0;
-      second_capacity_us_ = 0;
-      next_second_boundary_ += kSecond;
-    }
+  // The tick at t closes a second when t + kTick is a whole second.
+  const SimTime end = first_skipped + count * Engine::kTick;
+  for (uint64_t n = end / kSecond - first_skipped / kSecond; n > 0; --n) {
+    CloseSecond();
   }
 }
 
+void Scheduler::CloseSecond() {
+  per_second_.push_back(static_cast<double>(second_busy_us_) /
+                        static_cast<double>(CoresTimes(kSecond)));
+  second_busy_us_ = 0;
+}
+
 void Scheduler::Transfer(SnapshotArchive& ar) {
+  // The engine section precedes this one, so the clock is the restored one.
+  const SimTime now = engine_.now();
+  const SimTime second_start = now - now % kSecond;
   ar.U64(busy_us_);
-  ar.U64(capacity_us_);
+  ar.Expect<uint64_t>(capacity_us(), "scheduler capacity");
   ar.U64(second_busy_us_);
-  ar.U64(second_capacity_us_);
-  ar.U64(next_second_boundary_);
+  ar.Expect<uint64_t>(CoresTimes(now - second_start), "scheduler capacity this second");
+  ar.Expect<uint64_t>(second_start + kSecond, "next second boundary");
   ar.U64(min_vruntime_us_);
   ar.Expect<uint64_t>(task_seq_, "task count");
   ar.Sequence(per_second_, 8, [&ar](double& v) { ar.F64(v); });
   ar.Expect<uint64_t>(tasks_.size(), "task population");
-  if (ar.loading()) {
-    // Empty the run queue before tasks set their states directly; membership
-    // is rebuilt below in the serialized order.
-    run_queue_.Clear();
-  }
+  // Restoring tasks sets their states directly; the queue is replaced below
+  // in the serialized order.
   for (auto& t : tasks_) {
     t->Transfer(ar);
   }
@@ -141,38 +122,33 @@ void Scheduler::Transfer(SnapshotArchive& ar) {
   };
   // Run-queue ORDER matters: Tick's std::partial_sort is unstable, so the
   // queue ordering at the snapshot point is part of the deterministic state.
-  std::vector<Task*> queued;
-  if (!ar.loading()) {
-    for (Task* t : run_queue_) {
-      queued.push_back(t);
-    }
-  }
+  std::vector<Task*> queued = run_queue_;
   ar.Sequence(queued, 8, task_ref);
   if (ar.loading()) {
-    for (Task* t : queued) {
-      if (t == nullptr || t->state() != TaskState::kRunnable ||
-          static_cast<ListNode<RunQueueTag>*>(t)->linked()) {
+    for (auto it = queued.begin(); it != queued.end(); ++it) {
+      if (*it == nullptr || (*it)->state() != TaskState::kRunnable) {
         SnapshotArchive::Fail("run queue holds a task that is not runnable");
       }
-      run_queue_.PushBack(t);
+      if (std::find(queued.begin(), it, *it) != it) {
+        SnapshotArchive::Fail("run queue holds task " + (*it)->name() + " twice");
+      }
     }
     // Wake() returns early for a runnable task, so one left off the queue
     // would never run again.
     for (auto& t : tasks_) {
       if (t->state() == TaskState::kRunnable &&
-          !static_cast<ListNode<RunQueueTag>*>(t.get())->linked()) {
+          std::find(queued.begin(), queued.end(), t.get()) == queued.end()) {
         SnapshotArchive::Fail("runnable task " + t->name() + " is missing from the run queue");
       }
     }
+    run_queue_ = std::move(queued);
   }
   ar.Sequence(core_last_, 8, task_ref);
 }
 
 void Scheduler::ResetForRecycle(size_t boot_task_count) {
   ICE_CHECK_LE(boot_task_count, tasks_.size());
-  // Unlink everything first; ListNode asserts unlinked at destruction, and
-  // Transfer rebuilds membership from the serialized order anyway.
-  run_queue_.Clear();
+  // Dead tasks are off the run queue, so destroying them leaves it valid.
   for (size_t i = boot_task_count; i < tasks_.size(); ++i) {
     ICE_CHECK(tasks_[i]->state() == TaskState::kDead)
         << tasks_[i]->name() << ": recycle with a live post-boot task";
@@ -188,9 +164,6 @@ void Scheduler::ResetForRecycle(size_t boot_task_count) {
 
 void Scheduler::Tick(SimTime now) {
   const SimDuration quantum = Engine::kTick;
-  capacity_us_ += static_cast<uint64_t>(num_cores_) * quantum;
-  second_capacity_us_ += static_cast<uint64_t>(num_cores_) * quantum;
-
   Tracer* tracer = engine_.tracer();
   if (tracer != nullptr) {
     core_occupants_.assign(static_cast<size_t>(num_cores_), nullptr);
@@ -199,11 +172,9 @@ void Scheduler::Tick(SimTime now) {
   if (!run_queue_.empty()) {
     // Select up to num_cores tasks. Tasks repaying debt (mid non-preemptive
     // section) keep their cores; the rest are picked by minimum vruntime.
-    candidates_.clear();
-    candidates_.reserve(run_queue_.size());
+    candidates_ = run_queue_;
     uint64_t min_vr = UINT64_MAX;
-    for (Task* t : run_queue_) {
-      candidates_.push_back(t);
+    for (Task* t : candidates_) {
       min_vr = std::min(min_vr, t->vruntime_us());
     }
     if (min_vr != UINT64_MAX) {
@@ -280,13 +251,8 @@ void Scheduler::Tick(SimTime now) {
   }
 
   // Per-second utilization sampling for Table-1 style peak/average figures.
-  if (now + quantum >= next_second_boundary_) {
-    per_second_.push_back(second_capacity_us_ == 0
-                              ? 0.0
-                              : static_cast<double>(second_busy_us_) / second_capacity_us_);
-    second_busy_us_ = 0;
-    second_capacity_us_ = 0;
-    next_second_boundary_ += kSecond;
+  if ((now + quantum) % kSecond == 0) {
+    CloseSecond();
   }
 }
 

@@ -197,8 +197,8 @@ void Task::Transfer(SnapshotArchive& ar) {
   if (!ar.loading()) {
     ICE_CHECK(!on_cpu_) << name_;
   }
-  // The scheduler has already emptied its run queue on restore; state_ is set
-  // directly and membership is rebuilt from the serialized queue order.
+  // Restore sets state_ directly; the scheduler then replaces its run queue
+  // with the serialized one.
   ar.U8(state_);
   if (state_ > TaskState::kDead) {
     SnapshotArchive::Fail("task " + name_ + " has state byte " +

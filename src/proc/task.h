@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "src/base/intrusive_list.h"
 #include "src/base/units.h"
 #include "src/sim/engine.h"
 
@@ -27,8 +26,6 @@ class Behavior;
 class SnapshotArchive;
 class Process;
 class Scheduler;
-
-struct RunQueueTag {};
 
 enum class TaskState : uint8_t {
   kRunnable,  // On the run queue (or currently on a CPU).
@@ -41,7 +38,7 @@ enum class TaskState : uint8_t {
 // Subset of the kernel's nice-to-weight table.
 int NiceToWeight(int nice);
 
-class Task : public ListNode<RunQueueTag> {
+class Task {
  public:
   Task(Scheduler& scheduler, std::string name, Process* process, int nice,
        std::unique_ptr<Behavior> behavior);

@@ -76,7 +76,10 @@ void Engine::Transfer(SnapshotArchive& ar) {
     ICE_CHECK(events_.empty()) << "engine restore with timers still scheduled";
   }
   ar.U64(now_);
-  ar.U64(ticks_);
+  if (ar.loading() && now_ % kTick != 0) {
+    SnapshotArchive::Fail("clock " + std::to_string(now_) + " is off the tick grid");
+  }
+  ar.Expect<uint64_t>(ticks_elapsed(), "tick count");
   ar.U64(ticks_skipped_);
   uint64_t next_seq = events_.next_seq();
   ar.U64(next_seq);
@@ -91,7 +94,6 @@ void Engine::Transfer(SnapshotArchive& ar) {
 void Engine::ResetForRecycle() {
   events_.Clear();
   now_ = 0;
-  ticks_ = 0;
   ticks_skipped_ = 0;
 }
 
@@ -119,7 +121,6 @@ void Engine::RunOneTick() {
   in_tick_ = false;
 
   now_ += kTick;
-  ++ticks_;
 }
 
 void Engine::MaybeSkipIdleTicks(SimTime until) {
@@ -161,7 +162,6 @@ void Engine::MaybeSkipIdleTicks(SimTime until) {
     t->OnTicksSkipped(now_, skipped);
   }
   now_ = target;
-  ticks_ += skipped;
   ticks_skipped_ += skipped;
 }
 

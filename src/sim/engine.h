@@ -15,8 +15,9 @@
 // When every Ticker reports quiescence via NextWorkAt() and no event is due,
 // the engine jumps time forward in whole ticks instead of spinning 1 ms at a
 // time ("idle tick-skipping"). Skipped ticks are observationally identical to
-// executed ones: ticks_elapsed() counts them, and tickers that accumulate
-// per-tick state batch-apply it in OnTicksSkipped().
+// executed ones: the clock is the only tick record (ticks_elapsed() is
+// now / kTick), so counts derived from it include them, and tickers with
+// per-tick work that idle ticks still owe apply it in OnTicksSkipped().
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
@@ -54,9 +55,9 @@ class Ticker {
   virtual SimTime NextWorkAt(SimTime now) { return now; }
 
   // Notification that the engine skipped `count` ticks that would have
-  // occurred at times first, first + kTick, ... Tickers that accumulate
-  // per-tick state (e.g. scheduler capacity accounting) apply the batch
-  // equivalent here so skipped and executed runs produce identical stats.
+  // occurred at times first, first + kTick, ... Tickers whose idle ticks
+  // still do something (the scheduler closes each second a skip ends) apply
+  // the batch equivalent here so skipped and executed runs are identical.
   virtual void OnTicksSkipped(SimTime first_skipped, uint64_t count) {
     (void)first_skipped;
     (void)count;
@@ -74,7 +75,9 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   SimTime now() const { return now_; }
-  uint64_t ticks_elapsed() const { return ticks_; }
+  // Ticks run or skipped so far: the clock starts at 0 and moves in whole
+  // ticks.
+  uint64_t ticks_elapsed() const { return now_ / kTick; }
 
   Rng& rng() { return rng_; }
   // Config-independent auxiliary stream for boot-time and environment noise
@@ -120,8 +123,10 @@ class Engine {
   void TransferOptionalEvent(SnapshotArchive& ar, EventId& id, EventFn fn);
 
   // Clock, tick counters, event-sequence cursor, RNGs, and stats registry.
-  // Restoring requires the event queue to be empty (timers are re-armed by
-  // their owners afterwards, under sequence numbers below the restored one).
+  // The tick count is written as now / kTick; restoring throws for a clock
+  // off the tick grid or a tick count that disagrees with it. Restoring
+  // requires the event queue to be empty (timers are re-armed by their
+  // owners afterwards, under sequence numbers below the restored one).
   void Transfer(SnapshotArchive& ar);
 
   // Recycling support: drop every pending event (keeping the queue's node
@@ -150,7 +155,6 @@ class Engine {
   void MaybeSkipIdleTicks(SimTime until);
 
   SimTime now_ = 0;
-  uint64_t ticks_ = 0;
   uint64_t ticks_skipped_ = 0;
   Tracer* tracer_ = nullptr;
   Rng rng_;

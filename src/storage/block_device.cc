@@ -1,5 +1,6 @@
 #include "src/storage/block_device.h"
 
+#include <string>
 #include <utility>
 
 #include "src/base/binary_stream.h"
@@ -62,22 +63,15 @@ void BlockDevice::MaybeStart() {
 void BlockDevice::Complete(Bio bio, SimTime submitted, uint64_t id) {
   --inflight_;
   ICE_CHECK_GE(inflight_, 0);
-  ++requests_completed_;
   SimDuration latency = engine_.now() - submitted;
   ICE_TRACE(engine_, TraceEventType::kBioComplete,
             {.pid = bio.pid, .flags = BioFlags(bio), .arg0 = latency, .arg1 = id});
-  total_latency_us_ += latency;
   if (bio.foreground) {
     ++fg_requests_;
     fg_latency_us_ += latency;
   } else {
     ++bg_requests_;
     bg_latency_us_ += latency;
-  }
-  if (bio.dir == IoDir::kRead) {
-    pages_read_ += bio.pages;
-  } else {
-    pages_written_ += bio.pages;
   }
   if (bio.on_complete) {
     bio.on_complete();
@@ -92,21 +86,37 @@ void BlockDevice::Transfer(SnapshotArchive& ar) {
   ar.U64(bio_seq_);
   // Format v2 keeps the byte of the retired foreground-priority dispatch flag.
   ar.Expect<uint8_t>(0, "FG-priority dispatch flag");
-  ar.U64(pages_read_);
-  ar.U64(pages_written_);
-  ar.U64(requests_completed_);
-  ar.U64(total_latency_us_);
+  // An idle device has completed every request submitted to it.
+  const StatsRegistry& stats = engine_.stats();
+  const uint64_t requests = stats.Get(stat::kIoReads) + stats.Get(stat::kIoWrites);
+  ar.Expect<uint64_t>(BytesToPages(stats.Get(stat::kIoReadBytes)), "pages read");
+  ar.Expect<uint64_t>(BytesToPages(stats.Get(stat::kIoWriteBytes)), "pages written");
+  ar.Expect<uint64_t>(requests, "requests completed");
+  uint64_t total_latency_us = fg_latency_us_ + bg_latency_us_;
+  ar.U64(total_latency_us);
   ar.U64(fg_requests_);
   ar.U64(bg_requests_);
   ar.U64(fg_latency_us_);
   ar.U64(bg_latency_us_);
+  if (!ar.loading()) {
+    return;
+  }
+  if (fg_requests_ + bg_requests_ != requests) {
+    SnapshotArchive::Fail("FG and BG requests do not sum to the " + std::to_string(requests) +
+                          " completed");
+  }
+  if (total_latency_us != fg_latency_us_ + bg_latency_us_) {
+    SnapshotArchive::Fail("total latency " + std::to_string(total_latency_us) +
+                          " is not the sum of the FG and BG latencies");
+  }
 }
 
 double BlockDevice::mean_latency_us() const {
-  if (requests_completed_ == 0) {
+  uint64_t requests = fg_requests_ + bg_requests_;
+  if (requests == 0) {
     return 0.0;
   }
-  return static_cast<double>(total_latency_us_) / static_cast<double>(requests_completed_);
+  return static_cast<double>(fg_latency_us_ + bg_latency_us_) / static_cast<double>(requests);
 }
 
 }  // namespace ice

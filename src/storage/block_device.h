@@ -45,12 +45,9 @@ class BlockDevice {
   size_t queued() const { return queue_.size(); }
   int inflight() const { return inflight_; }
 
-  // Total pages moved, for §6.2.2-style I/O accounting.
-  uint64_t pages_read() const { return pages_read_; }
-  uint64_t pages_written() const { return pages_written_; }
-  uint64_t requests_completed() const { return requests_completed_; }
-  // Foreground/background split (who the request served), for the paper's
-  // I/O-pressure analysis: BG refault traffic queues ahead of FG fault-ins.
+  // Totals of requests and pages are the engine's io.* counters. These count
+  // completions by who the request served, for the paper's I/O-pressure
+  // analysis: BG refault traffic queues ahead of FG fault-ins.
   uint64_t fg_requests() const { return fg_requests_; }
   uint64_t bg_requests() const { return bg_requests_; }
   double fg_mean_latency_us() const {
@@ -69,7 +66,10 @@ class BlockDevice {
 
   // Snapshot support. A quiescent point requires an idle device — queued or
   // in-flight commands carry completion closures the snapshot cannot carry —
-  // so Transfer ICE_CHECKs emptiness and carries only counters + RNG.
+  // so Transfer ICE_CHECKs emptiness and carries only counters + RNG. Format
+  // v2's page, request and latency totals are written as derived from the
+  // engine's io.* counters and the FG/BG split, and restoring throws where
+  // the saved ones disagree.
   void Transfer(SnapshotArchive& ar);
 
   // Recycling support: drop queued commands and forget in-flight ones (their
@@ -97,10 +97,6 @@ class BlockDevice {
   int inflight_ = 0;
   uint64_t bio_seq_ = 0;
 
-  uint64_t pages_read_ = 0;
-  uint64_t pages_written_ = 0;
-  uint64_t requests_completed_ = 0;
-  uint64_t total_latency_us_ = 0;
   uint64_t fg_requests_ = 0;
   uint64_t bg_requests_ = 0;
   uint64_t fg_latency_us_ = 0;

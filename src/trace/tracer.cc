@@ -1,6 +1,7 @@
 #include "src/trace/tracer.h"
 
 #include <sstream>
+#include <string>
 #include <type_traits>
 
 #include "src/base/binary_stream.h"
@@ -13,22 +14,36 @@ static_assert(std::is_trivially_copyable_v<TraceEvent>,
 
 void TraceRingBuffer::Transfer(SnapshotArchive& ar) {
   ar.Expect<uint64_t>(buf_.size(), "trace ring capacity");
-  ar.U64(head_);
-  ar.U64(size_);
-  ar.U64(dropped_);
-  if (head_ >= buf_.size() || size_ > buf_.size()) {
-    SnapshotArchive::Fail("trace ring cursor out of range");
+  uint64_t head = dropped() % buf_.size();
+  uint64_t held = size();
+  uint64_t lost = dropped();
+  ar.U64(head);
+  ar.U64(held);
+  ar.U64(lost);
+  if (ar.loading()) {
+    pushes_ = held + lost;
+    if (held != size() || head != dropped() % buf_.size()) {
+      SnapshotArchive::Fail("trace ring cursor (head " + std::to_string(head) + ", size " +
+                            std::to_string(held) + ") disagrees with its " +
+                            std::to_string(pushes_) + " pushes");
+    }
   }
   ar.Bytes(buf_.data(), buf_.size() * sizeof(TraceEvent));
 }
 
 void Tracer::Transfer(SnapshotArchive& ar) {
   ring_.Transfer(ar);
-  ar.U64(emitted_);
+  ar.Expect<uint64_t>(ring_.pushes(), "trace emitted count");
+  uint64_t sum = 0;
   for (uint64_t& c : counts_) {
     ar.U64(c);
+    sum += c;
   }
   if (ar.loading()) {
+    if (sum != ring_.pushes()) {
+      SnapshotArchive::Fail("trace event counts sum to " + std::to_string(sum) + ", not the " +
+                            std::to_string(ring_.pushes()) + " emitted");
+    }
     task_names_.clear();
   }
   ar.Entries(task_names_, 16, [&ar](uint64_t& id, std::string& name) {
@@ -62,7 +77,7 @@ std::string Tracer::Serialize() const {
         << " core=" << e.core << " pid=" << e.pid << " uid=" << e.uid
         << " arg0=" << e.arg0 << " arg1=" << e.arg1 << '\n';
   }
-  out << "emitted=" << emitted_ << " dropped=" << ring_.dropped() << '\n';
+  out << "emitted=" << emitted() << " dropped=" << dropped() << '\n';
   return out.str();
 }
 

@@ -40,7 +40,6 @@ class Tracer {
     e.uid = args.uid;
     e.arg0 = args.arg0;
     e.arg1 = args.arg1;
-    ++emitted_;
     ++counts_[static_cast<size_t>(type)];
     ring_.Push(e);
   }
@@ -53,7 +52,7 @@ class Tracer {
   const std::string& TaskName(uint64_t trace_id) const;
 
   std::vector<TraceEvent> Events() const { return ring_.Snapshot(); }
-  uint64_t emitted() const { return emitted_; }
+  uint64_t emitted() const { return ring_.pushes(); }
   uint64_t dropped() const { return ring_.dropped(); }
   size_t retained() const { return ring_.size(); }
   size_t capacity_events() const { return ring_.capacity(); }
@@ -66,12 +65,13 @@ class Tracer {
   std::string Serialize() const;
 
   // Snapshot support. The ring content, totals and task-name table are all
-  // part of the deterministic state a restored run must reproduce.
+  // part of the deterministic state a restored run must reproduce. The
+  // emitted count is the ring's push count; restoring throws where the saved
+  // one, or the per-type counts' sum, disagrees with it.
   void Transfer(SnapshotArchive& ar);
 
  private:
   TraceRingBuffer ring_;
-  uint64_t emitted_ = 0;
   uint64_t counts_[kTraceEventTypeCount] = {};
   std::map<uint64_t, std::string> task_names_;
 };

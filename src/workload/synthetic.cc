@@ -64,7 +64,6 @@ Uid InstallCputester(ActivityManager& am, double cpu_fraction, int num_cores) {
     PeriodicLoadBehavior::Params params;
     params.period = Ms(10);
     params.compute_us = static_cast<SimDuration>(static_cast<double>(params.period) * duty);
-    params.touches = 0;
     params.jitter = 0.25;
     am.CreateAppTask(*app, "spin" + std::to_string(i), /*nice=*/0,
                      std::make_unique<PeriodicLoadBehavior>(params));

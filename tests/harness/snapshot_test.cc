@@ -23,6 +23,9 @@
 #include "src/proc/freezer.h"
 #include "src/proc/scheduler.h"
 #include "src/proc/task.h"
+#include "src/storage/bio.h"
+#include "src/storage/block_device.h"
+#include "src/storage/flash_profiles.h"
 #include "src/trace/tracer.h"
 #include "src/workload/bg_activity.h"
 #include "src/workload/scenario.h"
@@ -837,6 +840,31 @@ TEST(SnapshotRestoreChecks, CounterNamesMustNotRepeat) {
   });
 }
 
+// An engine 2.5 s in. The payload starts with the u64 clock, then the u64
+// tick count.
+struct ClockedEngineRig {
+  ClockedEngineRig() { engine.RunFor(Ms(2500)); }
+  void Transfer(SnapshotArchive& ar) { engine.Transfer(ar); }
+
+  Engine engine{3};
+};
+
+// Every event deadline and second boundary sits on the 1 ms tick grid; a
+// clock between two ticks would tick the scheduler off it.
+TEST(SnapshotRestoreChecks, ClockMustBeOnTheTickGrid) {
+  ExpectRigRejected<ClockedEngineRig>([](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU64(b, kStreamHeader), Ms(2500));
+    PutU64(b, kStreamHeader, Ms(2500) + 1);
+  });
+}
+
+TEST(SnapshotRestoreChecks, TickCountMustBeTheClockInTicks) {
+  ExpectRigRejected<ClockedEngineRig>([](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU64(b, kStreamHeader + 8), 2500u);
+    PutU64(b, kStreamHeader + 8, 2501);
+  });
+}
+
 struct IdleBehavior : Behavior {
   void Run(TaskContext& ctx) override { ctx.SleepUntilWoken(); }
 };
@@ -879,6 +907,69 @@ TEST(SnapshotRestoreChecks, RunnableTaskMustBeOnTheRunQueue) {
   ExpectRigRejected<SchedulerRig>([](std::vector<uint8_t>& b) {
     ExpectTaskStates(b);
     b[SchedulerRig::kFirstTaskAt] = static_cast<uint8_t>(TaskState::kRunnable);
+  });
+}
+
+// A queue naming a task twice would run it on two cores in one tick; one
+// naming a sleeping task would run it without a wake.
+TEST(SnapshotRestoreChecks, RunQueueMustHoldEachRunnableTaskOnce) {
+  constexpr size_t kQueueAt = SchedulerRig::kFirstTaskAt + 2 * SchedulerRig::kTaskBytes;
+  auto expect_queue = [](const std::vector<uint8_t>& b) {
+    ExpectTaskStates(b);
+    ASSERT_EQ(GetU64(b, kQueueAt), 1u);       // One queued task...
+    ASSERT_EQ(GetU64(b, kQueueAt + 8), 2u);   // ...the runner (trace id 2).
+  };
+  ExpectRigRejected<SchedulerRig>([&](std::vector<uint8_t>& b) {
+    expect_queue(b);
+    PutU64(b, kQueueAt + 8, 1);
+  });
+  ExpectRigRejected<SchedulerRig>([&](std::vector<uint8_t>& b) {
+    expect_queue(b);
+    PutU64(b, kQueueAt, 2);
+    b.insert(b.begin() + static_cast<std::ptrdiff_t>(kQueueAt + 16), b.begin() + kQueueAt + 8,
+             b.begin() + kQueueAt + 16);
+  });
+}
+
+// A two-core scheduler 1.5 s in, with no tasks. The payload starts with six
+// u64 clocks: busy time, capacity, busy time this second, capacity this
+// second, the next second boundary and the fairness floor.
+struct ClockedSchedulerRig {
+  static constexpr size_t kCapacityAt = kStreamHeader + 8;
+  static constexpr size_t kSecondCapacityAt = kStreamHeader + 3 * 8;
+  static constexpr size_t kBoundaryAt = kStreamHeader + 4 * 8;
+
+  ClockedSchedulerRig() { engine.RunFor(Ms(1500)); }
+  void Transfer(SnapshotArchive& ar) { sched.Transfer(ar); }
+
+  Engine engine{3};
+  MemoryManager mm{engine, MemConfig{}, nullptr};
+  Scheduler sched{engine, mm, 2};
+};
+
+TEST(SnapshotRestoreChecks, CapacityMustBeCoresTimesTheClock) {
+  ExpectRigRejected<ClockedSchedulerRig>([](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU64(b, ClockedSchedulerRig::kCapacityAt), 2 * Ms(1500));
+    PutU64(b, ClockedSchedulerRig::kCapacityAt, 2 * Ms(1500) + 1);
+  });
+}
+
+// Seconds end on whole seconds of the clock, so the next boundary is the
+// first after now: not now itself, not past now + 1 s, not between seconds.
+TEST(SnapshotRestoreChecks, SecondBoundaryMustBeTheNextWholeSecond) {
+  for (SimTime boundary : {Ms(1500), Ms(2501), Ms(2100)}) {
+    ExpectRigRejected<ClockedSchedulerRig>([boundary](std::vector<uint8_t>& b) {
+      ASSERT_EQ(GetU64(b, ClockedSchedulerRig::kBoundaryAt), Sec(2));
+      PutU64(b, ClockedSchedulerRig::kBoundaryAt, boundary);
+    });
+  }
+}
+
+// The second in progress began at the last boundary: 0.5 s on two cores.
+TEST(SnapshotRestoreChecks, SecondCapacityMustMatchTheSecondBoundary) {
+  ExpectRigRejected<ClockedSchedulerRig>([](std::vector<uint8_t>& b) {
+    ASSERT_EQ(GetU64(b, ClockedSchedulerRig::kSecondCapacityAt), 2 * Ms(500));
+    PutU64(b, ClockedSchedulerRig::kSecondCapacityAt, 2 * Ms(500) + 1);
   });
 }
 
@@ -955,6 +1046,125 @@ TEST(SnapshotRestoreChecks, LmkKillCountMustMatchTheEngineCounter) {
   ExpectRigRejected<LmkRig>([](std::vector<uint8_t>& b) {
     ASSERT_EQ(GetU64(b, LmkRig::kKillsAt), 2u);
     PutU64(b, LmkRig::kKillsAt, GetU64(b, LmkRig::kKillsAt) + 1);
+  });
+}
+
+// A UFS device that completed a 2-page foreground read and an 8-page
+// background write. The payload ends with eight u64 totals: pages read,
+// pages written, requests completed, total latency, then FG requests, BG
+// requests, FG latency and BG latency.
+struct BlockDeviceRig {
+  BlockDeviceRig() {
+    for (IoDir dir : {IoDir::kRead, IoDir::kWrite}) {
+      Bio bio;
+      bio.dir = dir;
+      bio.pages = dir == IoDir::kRead ? 2 : 8;
+      bio.foreground = dir == IoDir::kRead;
+      dev.Submit(std::move(bio));
+    }
+    engine.RunFor(Ms(50));
+  }
+  void Transfer(SnapshotArchive& ar) { dev.Transfer(ar); }
+  static size_t TotalAt(const std::vector<uint8_t>& b, size_t i) {
+    return b.size() - kStreamTrailer - 8 * (8 - i);
+  }
+
+  Engine engine{3};
+  BlockDevice dev{engine, Ufs21Profile()};
+};
+
+void ExpectDeviceTotals(const std::vector<uint8_t>& b) {
+  ASSERT_EQ(GetU64(b, BlockDeviceRig::TotalAt(b, 0)), 2u);
+  ASSERT_EQ(GetU64(b, BlockDeviceRig::TotalAt(b, 1)), 8u);
+  ASSERT_EQ(GetU64(b, BlockDeviceRig::TotalAt(b, 2)), 2u);
+  ASSERT_EQ(GetU64(b, BlockDeviceRig::TotalAt(b, 3)),
+            GetU64(b, BlockDeviceRig::TotalAt(b, 6)) + GetU64(b, BlockDeviceRig::TotalAt(b, 7)));
+  ASSERT_EQ(GetU64(b, BlockDeviceRig::TotalAt(b, 4)), 1u);
+  ASSERT_EQ(GetU64(b, BlockDeviceRig::TotalAt(b, 5)), 1u);
+}
+
+void BumpDeviceTotal(std::vector<uint8_t>& b, size_t i) {
+  ExpectDeviceTotals(b);
+  PutU64(b, BlockDeviceRig::TotalAt(b, i), GetU64(b, BlockDeviceRig::TotalAt(b, i)) + 1);
+}
+
+// Pages read, pages written and requests completed restate the engine's
+// io.* counters, which Submit sets.
+TEST(SnapshotRestoreChecks, DeviceTotalsMustMatchTheEngineCounters) {
+  for (size_t i : {0, 1, 2}) {
+    ExpectRigRejected<BlockDeviceRig>([i](std::vector<uint8_t>& b) { BumpDeviceTotal(b, i); });
+  }
+}
+
+TEST(SnapshotRestoreChecks, DeviceLatencyTotalMustSumTheSplit) {
+  ExpectRigRejected<BlockDeviceRig>([](std::vector<uint8_t>& b) { BumpDeviceTotal(b, 3); });
+}
+
+TEST(SnapshotRestoreChecks, DeviceRequestSplitMustSumToTheCompletedRequests) {
+  ExpectRigRejected<BlockDeviceRig>([](std::vector<uint8_t>& b) { BumpDeviceTotal(b, 4); });
+}
+
+// A one-page ring after 50 more emissions than it holds, so it has wrapped.
+// The payload is the u64 capacity, head, size and drop count, the raw ring,
+// the u64 emitted count, one u64 count per event type and the (empty)
+// task-name table.
+struct TracerRig {
+  static constexpr uint64_t kCapacity = TraceEventsPerPage();
+  static constexpr size_t kHeadAt = kStreamHeader + 8;
+  static constexpr size_t kSizeAt = kStreamHeader + 2 * 8;
+  static constexpr size_t kDroppedAt = kStreamHeader + 3 * 8;
+  static constexpr size_t kEmittedAt = kStreamHeader + 4 * 8 + kCapacity * sizeof(TraceEvent);
+  static constexpr size_t kRefaultsAt =
+      kEmittedAt + 8 + 8 * static_cast<size_t>(TraceEventType::kRefault);
+
+  TracerRig() {
+    for (uint64_t i = 0; i < kCapacity + 50; ++i) {
+      tracer.Emit(i, i % 3 == 0 ? TraceEventType::kRefault : TraceEventType::kPageEvict);
+    }
+  }
+  void Transfer(SnapshotArchive& ar) { tracer.Transfer(ar); }
+
+  Tracer tracer{1};
+};
+
+void ExpectRingCursor(const std::vector<uint8_t>& b) {
+  ASSERT_EQ(GetU64(b, TracerRig::kHeadAt), 50u);
+  ASSERT_EQ(GetU64(b, TracerRig::kSizeAt), TracerRig::kCapacity);
+  ASSERT_EQ(GetU64(b, TracerRig::kDroppedAt), 50u);
+  ASSERT_EQ(GetU64(b, TracerRig::kEmittedAt), TracerRig::kCapacity + 50);
+}
+
+// Head, size and drop count are functions of the push count: the oldest
+// event sits at pushes mod capacity once the ring is full, and a ring that
+// dropped events is full.
+TEST(SnapshotRestoreChecks, TraceRingCursorMustFollowItsPushCount) {
+  ExpectRigRejected<TracerRig>([](std::vector<uint8_t>& b) {
+    ExpectRingCursor(b);
+    PutU64(b, TracerRig::kHeadAt, 51);
+  });
+  ExpectRigRejected<TracerRig>([](std::vector<uint8_t>& b) {
+    ExpectRingCursor(b);
+    PutU64(b, TracerRig::kSizeAt, TracerRig::kCapacity - 1);
+    PutU64(b, TracerRig::kDroppedAt, 51);
+  });
+  ExpectRigRejected<TracerRig>([](std::vector<uint8_t>& b) {
+    ExpectRingCursor(b);
+    PutU64(b, TracerRig::kDroppedAt, 51);
+  });
+}
+
+TEST(SnapshotRestoreChecks, TraceEmittedCountMustBeThePushCount) {
+  ExpectRigRejected<TracerRig>([](std::vector<uint8_t>& b) {
+    ExpectRingCursor(b);
+    PutU64(b, TracerRig::kEmittedAt, TracerRig::kCapacity + 51);
+  });
+}
+
+TEST(SnapshotRestoreChecks, TraceEventCountsMustSumToThePushCount) {
+  ExpectRigRejected<TracerRig>([](std::vector<uint8_t>& b) {
+    ExpectRingCursor(b);
+    ASSERT_EQ(GetU64(b, TracerRig::kRefaultsAt), (TracerRig::kCapacity + 50 + 2) / 3);
+    PutU64(b, TracerRig::kRefaultsAt, GetU64(b, TracerRig::kRefaultsAt) + 1);
   });
 }
 

@@ -161,12 +161,18 @@ TEST_F(MemoryManagerTest, ConcurrentFaultersPileOnOneRead) {
   mm_.Access(space, file_vpn, false, nullptr);
   mm_.ReclaimAllOf(space);
 
-  int woken = 0;
-  mm_.Access(space, file_vpn, false, [&] { ++woken; });
-  mm_.Access(space, file_vpn, false, [&] { ++woken; });
-  EXPECT_EQ(storage_.requests_completed() + storage_.inflight() + storage_.queued(), 1u + 0u);
+  // The primary fault and two tasks that pile on share one read and wake in
+  // the order they faulted; a probe access (no waker) waits for nothing.
+  std::vector<int> woken;
+  mm_.Access(space, file_vpn, false, [&] { woken.push_back(1); });
+  mm_.Access(space, file_vpn, false, [&] { woken.push_back(2); });
+  mm_.Access(space, file_vpn, false, nullptr);
+  mm_.Access(space, file_vpn, false, [&] { woken.push_back(3); });
+  EXPECT_EQ(engine_.stats().Get(stat::kIoReads), 1u);
+  EXPECT_NE(mm_.faults_in_flight(), 0u);
   engine_.RunFor(Ms(50));
-  EXPECT_EQ(woken, 2);
+  EXPECT_EQ(woken, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(mm_.faults_in_flight(), 0u);
   mm_.Release(space);
 }
 

@@ -124,7 +124,7 @@ TEST_F(ReclaimTest, DirtyFilePagesWriteBack) {
   mm_.ReclaimAllOf(space);
   engine_.RunFor(Ms(100));
   EXPECT_GT(engine_.stats().Get(stat::kIoWrites), 0u);
-  EXPECT_GT(storage_.pages_written(), 100u);
+  EXPECT_GT(engine_.stats().Get(stat::kIoWriteBytes), PagesToBytes(100));
   mm_.Release(space);
 }
 

@@ -177,13 +177,11 @@ void RestoreLoadProgress(PeriodicLoadBehavior& behavior, SimDuration remaining_c
   behavior.Transfer(load);
 }
 
-// A touchless service handed a touch countdown would reach
-// ICE_CHECK(params_.space != nullptr) on its next run; restore must reject
-// it, and any countdown above the configured burst, instead.
+// The behavior has no touch path, so restore rejects any touch countdown,
+// and any compute countdown above the configured burst.
 TEST(PeriodicLoadRestore, RejectsCountdownAboveItsBurst) {
   PeriodicLoadBehavior::Params params;
   params.compute_us = Us(500);
-  params.touches = 0;
   PeriodicLoadBehavior service(params);
   EXPECT_THROW(RestoreLoadProgress(service, 0, 3, true), std::runtime_error);
   EXPECT_THROW(RestoreLoadProgress(service, Us(501), 0, true), std::runtime_error);
@@ -194,12 +192,11 @@ TEST(PeriodicLoadRestore, RejectsCountdownAboveItsBurst) {
 TEST(PeriodicLoadRestore, RejectsLeftoversBeforeStart) {
   PeriodicLoadBehavior::Params params;
   params.compute_us = Us(500);
-  params.touches = 4;
   PeriodicLoadBehavior load(params);
   EXPECT_THROW(RestoreLoadProgress(load, Us(100), 0, false), std::runtime_error);
   EXPECT_THROW(RestoreLoadProgress(load, 0, 2, false), std::runtime_error);
   EXPECT_NO_THROW(RestoreLoadProgress(load, 0, 0, false));
-  EXPECT_NO_THROW(RestoreLoadProgress(load, Us(100), 2, true));
+  EXPECT_NO_THROW(RestoreLoadProgress(load, Us(100), 0, true));
 }
 
 TEST_F(BehaviorTest, ContextReportsBudget) {

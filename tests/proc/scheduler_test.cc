@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/proc/behavior.h"
 #include "src/proc/process.h"
 #include "src/proc/task.h"
@@ -123,6 +126,62 @@ TEST_F(SchedulerTest, WokenTaskGetsFairnessFloor) {
   // vruntime accrued while asleep.
   EXPECT_LT(sleeper->cpu_time_us(), Ms(400));
   EXPECT_GT(sleeper->cpu_time_us(), Ms(100));
+}
+
+// Computes `burst`, then sleeps `nap`: idle most of the time.
+struct NapBehavior : Behavior {
+  NapBehavior(SimDuration burst_us, SimDuration nap_us) : burst(burst_us), nap(nap_us) {}
+  void Run(TaskContext& ctx) override {
+    ctx.Compute(burst);
+    ctx.SleepFor(nap);
+  }
+  SimDuration burst;
+  SimDuration nap;
+};
+
+// A ticker with work every tick, so no tick of its engine is skipped.
+struct EveryTick : Ticker {
+  void Tick(SimTime) override {}
+};
+
+// CPU capacity is read off the clock and idle ticks only close seconds, so
+// a run that skips most ticks samples exactly what one that runs them all
+// does.
+TEST(SchedulerSkipping, SkippedSecondsSampleAsIfEveryTickRan) {
+  struct Device {
+    explicit Device(bool every_tick) {
+      if (every_tick) {
+        engine.AddTicker(&forcer);
+      }
+      sched.CreateTask("a", nullptr, 0, std::make_unique<NapBehavior>(Us(700), Ms(2300)));
+      sched.CreateTask("b", nullptr, 5, std::make_unique<NapBehavior>(Us(2500), Ms(3700)));
+      engine.RunFor(Sec(10) + Ms(500));
+    }
+    ~Device() { engine.RemoveTicker(&forcer); }
+
+    Engine engine{1};
+    MemoryManager mm{engine, MemConfig{}, nullptr};
+    Scheduler sched{engine, mm, 2};
+    EveryTick forcer;
+  };
+  Device skipping(/*every_tick=*/false);
+  Device ticking(/*every_tick=*/true);
+
+  EXPECT_EQ(ticking.engine.ticks_skipped(), 0u);
+  // Over 9.9 of the 10.5 s are skipped, so at least three whole seconds are
+  // closed by skips alone.
+  EXPECT_GT(skipping.engine.ticks_skipped(), 9'900u);
+  EXPECT_EQ(skipping.engine.ticks_elapsed(), ticking.engine.ticks_elapsed());
+
+  const std::vector<double>& samples = skipping.sched.utilization_per_second();
+  ASSERT_EQ(samples.size(), 10u);
+  EXPECT_EQ(samples, ticking.sched.utilization_per_second());
+  EXPECT_GT(std::count(samples.begin(), samples.end(), 0.0), 2);
+  EXPECT_GT(std::count_if(samples.begin(), samples.end(), [](double u) { return u > 0.0; }), 2);
+  EXPECT_EQ(skipping.sched.busy_us(), ticking.sched.busy_us());
+  EXPECT_GT(skipping.sched.busy_us(), 0u);
+  EXPECT_EQ(skipping.sched.capacity_us(), ticking.sched.capacity_us());
+  EXPECT_EQ(skipping.sched.capacity_us(), 2 * (Sec(10) + Ms(500)));
 }
 
 TEST_F(SchedulerTest, CreateTaskAttachesToProcess) {

@@ -19,8 +19,9 @@ TEST(BlockDevice, CompletesARead) {
   EXPECT_FALSE(done);
   engine.RunFor(Ms(10));
   EXPECT_TRUE(done);
-  EXPECT_EQ(dev.pages_read(), 1u);
-  EXPECT_EQ(dev.requests_completed(), 1u);
+  EXPECT_EQ(engine.stats().Get(stat::kIoReads), 1u);
+  EXPECT_EQ(engine.stats().Get(stat::kIoReadBytes), kPageSize);
+  EXPECT_EQ(dev.bg_requests(), 1u);
 }
 
 TEST(BlockDevice, AccountsBytesInStats) {
@@ -33,7 +34,6 @@ TEST(BlockDevice, AccountsBytesInStats) {
   engine.RunFor(Ms(10));
   EXPECT_EQ(engine.stats().Get(stat::kIoWrites), 1u);
   EXPECT_EQ(engine.stats().Get(stat::kIoWriteBytes), 8 * kPageSize);
-  EXPECT_EQ(dev.pages_written(), 8u);
 }
 
 TEST(BlockDevice, QueueDepthBoundsInflight) {
@@ -50,7 +50,7 @@ TEST(BlockDevice, QueueDepthBoundsInflight) {
   EXPECT_EQ(dev.inflight(), 2);
   EXPECT_EQ(dev.queued(), 8u);
   engine.RunFor(Sec(1));
-  EXPECT_EQ(dev.requests_completed(), 10u);
+  EXPECT_EQ(dev.fg_requests() + dev.bg_requests(), 10u);
   EXPECT_EQ(dev.inflight(), 0);
 }
 
